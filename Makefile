@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race race-parallel fuzz chaos conformance cover-ght cover-metrics cover-antientropy cover-node cover-trace cover-attrib cover-sim smoke-bench micro-bench loadtest check bench bench-compare golden
+.PHONY: build test vet race race-parallel fuzz chaos conformance $(COVER_TARGETS) smoke-bench micro-bench loadtest check bench bench-compare golden
 
 build:
 	$(GO) build ./...
@@ -51,73 +51,29 @@ chaos:
 conformance:
 	$(GO) test -run TestConformance -race ./internal/systemtest/...
 
-# The GHT fault surface is the newest storage code; hold its package
-# coverage at or above 80%.
-cover-ght:
-	$(GO) test -coverprofile=/tmp/ght.cover ./internal/ght
-	@total=$$($(GO) tool cover -func=/tmp/ght.cover | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
-	echo "internal/ght coverage: $$total%"; \
-	awk -v t="$$total" 'BEGIN { exit (t >= 80.0) ? 0 : 1 }' || \
-		{ echo "internal/ght coverage $$total% below the 80% gate"; exit 1; }
+# Package coverage gates, one pkg:threshold pair per package; each pair
+# makes a cover-<pkg> target over ./internal/<pkg>. Why each is gated:
+#   ght          the newest storage code, its fault surface
+#   metrics      the registry feeds every experiment table
+#   antientropy  the codec and sessions repair every replicated store
+#   node         the actor engine's repair protocol carries the fault
+#                model the equivalence claims rest on
+#   trace        the flight recorder's tolerant analyzer, which every
+#                autopsy rests on
+#   attrib       the critical-path analyzer's sum-to-total invariant
+#   sim          the event kernel: a wrong ladder-queue branch silently
+#                reorders simulations, so it is held to 90%, which its
+#                property/fuzz suite reaches anyway
+COVER_GATES := ght:80 metrics:80 antientropy:80 node:80 trace:80 attrib:80 sim:90
+COVER_TARGETS := $(foreach g,$(COVER_GATES),cover-$(firstword $(subst :, ,$(g))))
 
-# The metrics registry feeds every experiment table; hold its package
-# coverage at or above 80% like the GHT fault surface.
-cover-metrics:
-	$(GO) test -coverprofile=/tmp/metrics.cover ./internal/metrics
-	@total=$$($(GO) tool cover -func=/tmp/metrics.cover | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
-	echo "internal/metrics coverage: $$total%"; \
-	awk -v t="$$total" 'BEGIN { exit (t >= 80.0) ? 0 : 1 }' || \
-		{ echo "internal/metrics coverage $$total% below the 80% gate"; exit 1; }
-
-# The anti-entropy codec and session machinery repair every replicated
-# store; hold its package coverage at or above 80%.
-cover-antientropy:
-	$(GO) test -coverprofile=/tmp/antientropy.cover ./internal/antientropy
-	@total=$$($(GO) tool cover -func=/tmp/antientropy.cover | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
-	echo "internal/antientropy coverage: $$total%"; \
-	awk -v t="$$total" 'BEGIN { exit (t >= 80.0) ? 0 : 1 }' || \
-		{ echo "internal/antientropy coverage $$total% below the 80% gate"; exit 1; }
-
-# The actor engine's message-driven repair protocol carries the fault
-# model this repo's equivalence claims rest on; hold its package
-# coverage at or above 80%.
-cover-node:
-	$(GO) test -coverprofile=/tmp/node.cover ./internal/node
-	@total=$$($(GO) tool cover -func=/tmp/node.cover | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
-	echo "internal/node coverage: $$total%"; \
-	awk -v t="$$total" 'BEGIN { exit (t >= 80.0) ? 0 : 1 }' || \
-		{ echo "internal/node coverage $$total% below the 80% gate"; exit 1; }
-
-# The flight recorder's tolerant analyzer is what every autopsy rests
-# on — it must handle evicted, unclosed, and malformed spans without
-# erroring; hold its package coverage at or above 80%.
-cover-trace:
-	$(GO) test -coverprofile=/tmp/trace.cover ./internal/trace
-	@total=$$($(GO) tool cover -func=/tmp/trace.cover | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
-	echo "internal/trace coverage: $$total%"; \
-	awk -v t="$$total" 'BEGIN { exit (t >= 80.0) ? 0 : 1 }' || \
-		{ echo "internal/trace coverage $$total% below the 80% gate"; exit 1; }
-
-# The critical-path analyzer's sum-to-total invariant is the autopsy's
-# correctness claim; hold its package coverage at or above 80%.
-cover-attrib:
-	$(GO) test -coverprofile=/tmp/attrib.cover ./internal/attrib
-	@total=$$($(GO) tool cover -func=/tmp/attrib.cover | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
-	echo "internal/attrib coverage: $$total%"; \
-	awk -v t="$$total" 'BEGIN { exit (t >= 80.0) ? 0 : 1 }' || \
-		{ echo "internal/attrib coverage $$total% below the 80% gate"; exit 1; }
-
-# The event kernel orders every message the actor engine ever delivers;
-# a wrong branch in the ladder queue silently reorders simulations
-# instead of crashing them. Hold it to 90% — stricter than the 80% the
-# other kernels get, because the property/fuzz suite covers it that
-# deeply anyway.
-cover-sim:
-	$(GO) test -coverprofile=/tmp/sim.cover ./internal/sim
-	@total=$$($(GO) tool cover -func=/tmp/sim.cover | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
-	echo "internal/sim coverage: $$total%"; \
-	awk -v t="$$total" 'BEGIN { exit (t >= 90.0) ? 0 : 1 }' || \
-		{ echo "internal/sim coverage $$total% below the 90% gate"; exit 1; }
+$(COVER_TARGETS): cover-%:
+	$(GO) test -coverprofile=/tmp/$*.cover ./internal/$*
+	@gate=$(lastword $(subst :, ,$(filter $*:%,$(COVER_GATES)))); \
+	total=$$($(GO) tool cover -func=/tmp/$*.cover | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
+	echo "internal/$* coverage: $$total%"; \
+	awk -v t="$$total" -v g="$$gate" 'BEGIN { exit (t >= g) ? 0 : 1 }' || \
+		{ echo "internal/$* coverage $$total% below the $$gate% gate"; exit 1; }
 
 # Quick benchmark smoke: the disabled-registry hot path must stay
 # allocation-free (same for the disabled-tracer autopsy path), the
@@ -146,6 +102,12 @@ micro-bench:
 	$(GO) test ./internal/sim -run=NONE -benchmem -benchtime=2000000x \
 		-bench='^BenchmarkSchedulerChurn$$|^BenchmarkSchedulerSameTickBurst$$' 2>&1 \
 		| tee -a /tmp/micro-bench.out
+	$(GO) test ./internal/trace -run=NONE -benchmem -benchtime=2000000x \
+		-bench='^BenchmarkRingEmit$$' 2>&1 \
+		| tee -a /tmp/micro-bench.out
+	$(GO) test ./internal/discovery -run=NONE -benchmem -benchtime=200x \
+		-bench='^BenchmarkBeaconRound$$' 2>&1 \
+		| tee -a /tmp/micro-bench.out
 	$(GO) run ./cmd/benchjson -gate bench_micro_baseline.json -tolerance 10 < /tmp/micro-bench.out
 
 # Sustained-load smoke: the seeded quick poolload sweeps must reproduce
@@ -155,7 +117,7 @@ micro-bench:
 loadtest:
 	$(GO) test -count=1 ./cmd/poolload ./internal/load
 
-check: build vet race race-parallel fuzz chaos conformance cover-ght cover-metrics cover-antientropy cover-node cover-trace cover-attrib cover-sim smoke-bench micro-bench loadtest
+check: build vet race race-parallel fuzz chaos conformance $(COVER_TARGETS) smoke-bench micro-bench loadtest
 
 # Full benchmark sweep, archived as machine-readable JSON
 # (BENCH_<date>.json) via cmd/benchjson for cross-commit diffing, with

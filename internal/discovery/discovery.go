@@ -17,7 +17,7 @@ package discovery
 
 import (
 	"fmt"
-	"sort"
+	"math"
 	"time"
 
 	"pooldcs/internal/metrics"
@@ -63,15 +63,30 @@ func (c Config) Timeout() time.Duration {
 	return time.Duration(c.MissLimit) * (c.Interval + c.Jitter)
 }
 
-// Protocol is a running beacon exchange.
+// absent marks a neighbour-table slot that was never heard or has been
+// evicted. Virtual time 0 is a real heard time, so the sentinel sits
+// below every reachable clock value.
+const absent = time.Duration(math.MinInt64)
+
+// Protocol is a running beacon exchange. It is a sim.Handler: every
+// beacon is a typed event (a = node id, b = epoch), not a closure.
 type Protocol struct {
 	cfg   Config
 	net   *network.Network
 	sched *sim.Scheduler
+	hid   sim.HandlerID
 	src   *rng.Source
 
-	// lastHeard[a][b] is when a last received b's beacon.
-	lastHeard []map[int]time.Duration
+	// The neighbour table is a set of flat per-edge columns in CSR
+	// order: node a's slots are off[a]..off[a+1], and slot off[a]+k
+	// belongs to layout.Neighbors(a)[k]. heard[off[a]+k] is when a last
+	// received that neighbour's beacon (absent: never, or evicted).
+	// rev[off[a]+k] is the flat index of a's own slot in that
+	// neighbour's row, so a beacon stamps each receiver without a
+	// lookup.
+	off   []int32
+	heard []time.Duration
+	rev   []int32
 	// failed marks nodes that have stopped beaconing.
 	failed []bool
 	// epoch invalidates stale beacon loops: Fail and Recover bump it, and
@@ -95,20 +110,41 @@ type Protocol struct {
 // New prepares the protocol over a network and scheduler.
 func New(net *network.Network, sched *sim.Scheduler, src *rng.Source, cfg Config) *Protocol {
 	cfg.applyDefaults()
-	n := net.Layout().N()
+	layout := net.Layout()
+	n := layout.N()
 	p := &Protocol{
 		cfg:       cfg,
 		net:       net,
 		sched:     sched,
 		src:       src,
-		lastHeard: make([]map[int]time.Duration, n),
+		off:       make([]int32, n+1),
 		failed:    make([]bool, n),
 		epoch:     make([]uint64, n),
 		suspected: make([]bool, n),
 	}
-	for i := range p.lastHeard {
-		p.lastHeard[i] = make(map[int]time.Duration)
+	for a := 0; a < n; a++ {
+		p.off[a+1] = p.off[a] + int32(len(layout.Neighbors(a)))
 	}
+	edges := p.off[n]
+	p.heard = make([]time.Duration, edges)
+	for e := range p.heard {
+		p.heard[e] = absent
+	}
+	// Adjacency is symmetric and every row is sorted ascending, so
+	// visiting a in ascending order meets the entries of each row b in
+	// row order: a's position in b's row is how many rows before a
+	// listed b. cursor[b] counts them, as a flat index into b's row.
+	p.rev = make([]int32, edges)
+	cursor := make([]int32, n)
+	copy(cursor, p.off[:n])
+	for a := 0; a < n; a++ {
+		base := p.off[a]
+		for k, b := range layout.Neighbors(a) {
+			p.rev[base+int32(k)] = cursor[b]
+			cursor[b]++
+		}
+	}
+	p.hid = sched.Register(p)
 	return p
 }
 
@@ -140,10 +176,8 @@ func (p *Protocol) EnableMetrics(reg *metrics.Registry) {
 // advance the protocol.
 func (p *Protocol) Start() {
 	for id := 0; id < p.net.Layout().N(); id++ {
-		id := id
-		ep := p.epoch[id]
 		offset := time.Duration(p.src.Int63() % int64(p.cfg.Jitter+1))
-		p.sched.After(offset, func() { p.beacon(id, ep) })
+		p.sched.AfterEvent(offset, p.hid, 0, uint64(id), p.epoch[id])
 	}
 }
 
@@ -170,9 +204,8 @@ func (p *Protocol) Recover(id int) {
 	}
 	p.failed[id] = false
 	p.epoch[id]++
-	ep := p.epoch[id]
 	offset := time.Duration(p.src.Int63() % int64(p.cfg.Jitter+1))
-	p.sched.After(offset, func() { p.beacon(id, ep) })
+	p.sched.AfterEvent(offset, p.hid, 0, uint64(id), p.epoch[id])
 }
 
 // Failed reports whether the node's beacon loop is currently silenced.
@@ -190,6 +223,10 @@ func (p *Protocol) Suspect(id int) bool { return p.suspected[id] }
 // clock is the emergent detection latency.
 func (p *Protocol) OnSuspect(fn func(id int)) { p.onSuspect = fn }
 
+// HandleEvent implements sim.Handler: the beacon tick of node a whose
+// loop was started in epoch b.
+func (p *Protocol) HandleEvent(_ uint8, a, b uint64) { p.beacon(int(a), b) }
+
 // beacon broadcasts once, sweeps the sender's own neighbour table for
 // timed-out entries, and reschedules.
 func (p *Protocol) beacon(id int, ep uint64) {
@@ -198,8 +235,17 @@ func (p *Protocol) beacon(id int, ep uint64) {
 	}
 	now := p.sched.Now()
 	p.mBeacons.Inc()
+	// Broadcast reports receivers in Neighbors(id) order, so one merge
+	// walk over id's row finds each receiver's edge slot.
+	nbrs := p.net.Layout().Neighbors(id)
+	row := p.rev[p.off[id]:p.off[id+1]]
+	k := 0
 	for _, nbr := range p.net.Broadcast(id, network.KindControl, p.cfg.PayloadBytes) {
-		p.lastHeard[nbr][id] = now
+		for nbrs[k] != nbr {
+			k++
+		}
+		p.heard[row[k]] = now
+		k++
 	}
 	// Any node that heard this beacon knows id is alive.
 	if p.suspected[id] {
@@ -207,26 +253,24 @@ func (p *Protocol) beacon(id int, ep uint64) {
 	}
 	p.sweep(id, now)
 	jitter := time.Duration(p.src.Int63() % int64(p.cfg.Jitter+1))
-	p.sched.After(p.cfg.Interval+jitter-p.cfg.Jitter/2, func() { p.beacon(id, ep) })
+	p.sched.AfterEvent(p.cfg.Interval+jitter-p.cfg.Jitter/2, p.hid, 0, uint64(id), ep)
 }
 
 // sweep evicts neighbours of id not heard within the timeout and raises
-// a suspicion for each eviction. Stale entries are collected and sorted
-// before firing so the callback order is deterministic.
+// a suspicion for each eviction. Slots are visited in row order, which is
+// ascending neighbour id, so the callback order is deterministic. A
+// callback cannot stamp id's row (only a beacon event does), so the
+// stale set is fixed by the deadline before the first callback fires.
 func (p *Protocol) sweep(id int, now time.Duration) {
 	deadline := now - p.cfg.Timeout()
-	var stale []int
-	for nbr, heard := range p.lastHeard[id] {
-		if heard < deadline {
-			stale = append(stale, nbr)
+	nbrs := p.net.Layout().Neighbors(id)
+	row := p.heard[p.off[id]:p.off[id+1]]
+	for k, heard := range row {
+		if heard == absent || heard >= deadline {
+			continue
 		}
-	}
-	if len(stale) == 0 {
-		return
-	}
-	sort.Ints(stale)
-	for _, nbr := range stale {
-		delete(p.lastHeard[id], nbr)
+		row[k] = absent
+		nbr := nbrs[k]
 		p.mEvictions.Inc()
 		if p.suspected[nbr] {
 			continue
@@ -246,13 +290,14 @@ func (p *Protocol) sweep(id int, now time.Duration) {
 // to observe the updated table).
 func (p *Protocol) Neighbors(id int) []int {
 	deadline := p.sched.Now() - p.cfg.Timeout()
-	out := make([]int, 0, len(p.lastHeard[id]))
-	for nbr, heard := range p.lastHeard[id] {
-		if heard >= deadline {
-			out = append(out, nbr)
+	nbrs := p.net.Layout().Neighbors(id)
+	row := p.heard[p.off[id]:p.off[id+1]]
+	out := make([]int, 0, len(row))
+	for k, heard := range row {
+		if heard != absent && heard >= deadline {
+			out = append(out, nbrs[k])
 		}
 	}
-	sort.Ints(out)
 	return out
 }
 

@@ -522,8 +522,9 @@ func (n *Network) Transmit(from, to int, kind Kind, payloadBytes int) error {
 // reception per neighbour. Each reception is subject to the same lossy
 // model as unicast — independent per-receiver drops — so broadcast-based
 // beaconing pays the same reality tax; crashed or depleted neighbours
-// hear nothing. It returns the neighbours actually reached; the slice is
-// valid only until the next Broadcast call. A broadcast from a dead node
+// hear nothing. It returns the neighbours actually reached, in
+// Layout().Neighbors(from) order; the slice is valid only until the next
+// Broadcast call. A broadcast from a dead node
 // is silent and free. Used by beaconing protocols.
 func (n *Network) Broadcast(from int, kind Kind, payloadBytes int) []int {
 	if !n.Alive(from) {

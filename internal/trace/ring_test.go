@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
@@ -170,5 +171,130 @@ func TestRecordAtStampsExplicitTime(t *testing.T) {
 	}
 	if evs[2].T != 9*time.Millisecond || evs[2].Type != TypeServe || evs[2].Span != id {
 		t.Errorf("serve event = %+v", evs[2])
+	}
+}
+
+// sliceRing is the single-slice ring the chunked storage replaced, kept
+// as the reference model: append until full, then overwrite the oldest
+// slot in place.
+type sliceRing struct {
+	events  []Event
+	limit   int
+	head    int
+	dropped uint64
+}
+
+func (r *sliceRing) emit(ev Event) {
+	if r.limit > 0 && len(r.events) == r.limit {
+		r.events[r.head] = ev
+		r.head = (r.head + 1) % r.limit
+		r.dropped++
+		return
+	}
+	r.events = append(r.events, ev)
+}
+
+func (r *sliceRing) ordered() []Event {
+	return append(append([]Event{}, r.events[r.head:]...), r.events[:r.head]...)
+}
+
+// TestChunkedRingMatchesSliceRing checks the chunked flight recorder
+// against the slice reference for capacities below, at and above the
+// chunk size, capacity 1 included: Len, Dropped and the Events order
+// agree at every check, and however many times the ring wraps it never
+// holds more than ⌈capacity/chunkSize⌉ chunks or more slots than its
+// capacity.
+func TestChunkedRingMatchesSliceRing(t *testing.T) {
+	for _, capacity := range []int{1, 2, 7, chunkSize - 1, chunkSize, chunkSize + 1, 2 * chunkSize, 3*chunkSize + 5} {
+		tr := NewRing(nil, capacity)
+		ref := &sliceRing{limit: capacity}
+		maxChunks := (capacity + chunkSize - 1) / chunkSize
+		// Check every emit on small rings, and a spread of points
+		// (including each wrap) on large ones.
+		every := 1 + capacity/13
+		total := 4*capacity + 3
+		for i := 0; i < total; i++ {
+			ev := Event{T: time.Duration(i), From: i, To: -1, Node: -1}
+			tr.emit(ev)
+			ref.emit(ev)
+			if i%every != 0 && (i+1)%capacity != 0 && i != total-1 {
+				continue
+			}
+			if tr.Len() != len(ref.events) || tr.Dropped() != ref.dropped {
+				t.Fatalf("cap %d after %d emits: len=%d dropped=%d, reference len=%d dropped=%d",
+					capacity, i+1, tr.Len(), tr.Dropped(), len(ref.events), ref.dropped)
+			}
+			if got, want := tr.Events(), ref.ordered(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("cap %d after %d emits: Events order differs from the reference", capacity, i+1)
+			}
+			slots := 0
+			for _, c := range tr.chunks {
+				slots += len(c)
+			}
+			if len(tr.chunks) > maxChunks || slots > capacity {
+				t.Fatalf("cap %d after %d emits: %d chunks, %d slots; bound is %d chunks, %d slots",
+					capacity, i+1, len(tr.chunks), slots, maxChunks, capacity)
+			}
+		}
+	}
+}
+
+// An unbounded tracer keeps every event, in order, across chunk
+// boundaries.
+func TestUnboundedTracerKeepsEverything(t *testing.T) {
+	tr := New(nil)
+	var want []Event
+	for i := 0; i < 2*chunkSize+chunkSize/2; i++ {
+		ev := Event{T: time.Duration(i), From: i}
+		tr.emit(ev)
+		want = append(want, ev)
+	}
+	if tr.Len() != len(want) || tr.Dropped() != 0 {
+		t.Fatalf("len=%d dropped=%d, want %d and 0", tr.Len(), tr.Dropped(), len(want))
+	}
+	if !reflect.DeepEqual(tr.Events(), want) {
+		t.Fatal("Events differ from append order")
+	}
+}
+
+// Events hands out a copy: mutating it must not reach the tracer.
+func TestEventsReturnsCopy(t *testing.T) {
+	for _, tr := range []*Tracer{New(nil), NewRing(nil, 4)} {
+		tr.Hop(0, 1, "query", 8, 1, false)
+		evs := tr.Events()
+		evs[0].From = 99
+		if tr.Events()[0].From != 0 {
+			t.Errorf("capacity %d: mutating Events() changed the recorded event", tr.Capacity())
+		}
+	}
+}
+
+// Reset keeps the chunks it already has: refilling a ring (or an
+// unbounded tracer) to its previous size allocates no new chunk.
+func TestResetReusesChunks(t *testing.T) {
+	for _, tr := range []*Tracer{New(nil), NewRing(nil, 2*chunkSize+3)} {
+		fill := func() {
+			for i := 0; i < 3*chunkSize; i++ {
+				tr.emit(Event{From: i})
+			}
+		}
+		fill()
+		before := make([]*Event, len(tr.chunks))
+		for i, c := range tr.chunks {
+			before[i] = &c[0]
+		}
+		tr.Reset()
+		if tr.Len() != 0 || tr.Dropped() != 0 || len(tr.Events()) != 0 {
+			t.Fatalf("capacity %d: reset left len=%d dropped=%d", tr.Capacity(), tr.Len(), tr.Dropped())
+		}
+		fill()
+		if len(tr.chunks) != len(before) {
+			t.Fatalf("capacity %d: %d chunks after refill, %d before reset", tr.Capacity(), len(tr.chunks), len(before))
+		}
+		for i, c := range tr.chunks {
+			if &c[0] != before[i] {
+				t.Errorf("capacity %d: chunk %d reallocated after reset", tr.Capacity(), i)
+			}
+		}
 	}
 }

@@ -158,19 +158,34 @@ type Clock interface {
 	Now() time.Duration
 }
 
+// chunkShift sets the event storage granule: chunks of 1<<chunkShift
+// events (about 72 KB each).
+const (
+	chunkShift = 9
+	chunkSize  = 1 << chunkShift
+)
+
 // Tracer accumulates events in memory. The zero-cost disabled tracer is
 // the nil pointer; construct enabled tracers with New.
+//
+// Events live in fixed-size chunks allocated on demand and never copied
+// or moved, so a long run pays one allocation per chunkSize events
+// instead of append-doubling's copies. Slot i is chunks[i>>chunkShift]
+// at i&(chunkSize-1). A ring is the same storage with slots taken modulo
+// its capacity; its chunks are allocated as the ring first fills, not up
+// front, so a recorder that never fills never holds its full capacity.
 type Tracer struct {
 	clock  Clock
-	events []Event
+	chunks [][]Event
+	n      int // events held
+	next   int // slot the next event is written to
 	stack  []uint64
 	nextID uint64
 
 	// limit > 0 makes the tracer a fixed-capacity flight recorder (see
-	// NewRing): once len(events) == limit, head is the ring's oldest
-	// slot and every append overwrites it.
+	// NewRing): once n == limit, next is the ring's oldest slot and every
+	// emit overwrites it.
 	limit   int
-	head    int
 	dropped uint64
 }
 
@@ -193,19 +208,27 @@ func NewRing(clock Clock, capacity int) *Tracer {
 	return &Tracer{clock: clock, limit: capacity}
 }
 
-// emit appends one event, evicting the oldest when the tracer is a full
+// emit stores one event, evicting the oldest when the tracer is a full
 // ring.
 func (t *Tracer) emit(ev Event) {
-	if t.limit > 0 && len(t.events) == t.limit {
-		t.events[t.head] = ev
-		t.head++
-		if t.head == t.limit {
-			t.head = 0
+	c := t.next >> chunkShift
+	if c == len(t.chunks) {
+		size := chunkSize
+		if t.limit > 0 && t.limit-t.next < size {
+			size = t.limit - t.next
 		}
+		t.chunks = append(t.chunks, make([]Event, size))
+	}
+	t.chunks[c][t.next&(chunkSize-1)] = ev
+	t.next++
+	if t.next == t.limit {
+		t.next = 0
+	}
+	if t.limit > 0 && t.n == t.limit {
 		t.dropped++
 		return
 	}
-	t.events = append(t.events, ev)
+	t.n++
 }
 
 // Capacity returns the ring capacity, or 0 for an unbounded tracer.
@@ -384,34 +407,47 @@ func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
-	return len(t.events)
+	return t.n
 }
 
-// Events returns the recorded events in append order. The slice is owned
-// by the tracer; callers must not mutate it. A wrapped ring allocates a
-// fresh ordered copy (oldest surviving event first).
+// Events returns a fresh copy of the recorded events in append order
+// (for a wrapped ring, oldest surviving event first). The caller owns
+// the slice; later emits do not change it.
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	if t.dropped == 0 {
-		return t.events
+	out := make([]Event, 0, t.n)
+	if t.n == t.limit {
+		// A full ring: the oldest event sits in the next slot to be
+		// overwritten.
+		out = t.appendSlots(out, t.next, t.n)
+		return t.appendSlots(out, 0, t.next)
 	}
-	out := make([]Event, 0, len(t.events))
-	out = append(out, t.events[t.head:]...)
-	out = append(out, t.events[:t.head]...)
+	return t.appendSlots(out, 0, t.n)
+}
+
+// appendSlots appends the events in slots [from, to), chunk by chunk.
+func (t *Tracer) appendSlots(out []Event, from, to int) []Event {
+	for from < to {
+		chunk := t.chunks[from>>chunkShift]
+		lo := from & (chunkSize - 1)
+		hi := min(len(chunk), lo+to-from)
+		out = append(out, chunk[lo:hi]...)
+		from += hi - lo
+	}
 	return out
 }
 
-// Reset drops all recorded events and open spans, keeping the clock and
-// ring capacity.
+// Reset drops all recorded events and open spans, keeping the clock,
+// ring capacity and allocated chunks for reuse.
 func (t *Tracer) Reset() {
 	if t == nil {
 		return
 	}
-	t.events = t.events[:0]
 	t.stack = t.stack[:0]
 	t.nextID = 0
-	t.head = 0
+	t.n = 0
+	t.next = 0
 	t.dropped = 0
 }
