@@ -64,7 +64,9 @@ conformance:
 #   sim          the event kernel: a wrong ladder-queue branch silently
 #                reorders simulations, so it is held to 90%, which its
 #                property/fuzz suite reaches anyway
-COVER_GATES := ght:80 metrics:80 antientropy:80 node:80 trace:80 attrib:80 sim:90
+#   pool         owns the Pool geometry (placement, splitters, index
+#                nodes) that node and load consume
+COVER_GATES := ght:80 metrics:80 antientropy:80 node:80 trace:80 attrib:80 sim:90 pool:80
 COVER_TARGETS := $(foreach g,$(COVER_GATES),cover-$(firstword $(subst :, ,$(g))))
 
 $(COVER_TARGETS): cover-%:

@@ -296,7 +296,7 @@ func (r *Reconciler) reconcile(p Pair) int {
 
 // unicast sends one session frame, charging the cost model on success.
 func (r *Reconciler) unicast(from, to int, payload int) error {
-	_, err := dcs.UnicastOpts(r.net, r.router, from, to, network.KindControl, payload, dcs.TxOptions{PathBuf: &r.pathBuf})
+	_, err := dcs.Unicast(r.net, r.router, from, to, network.KindControl, payload, &r.pathBuf)
 	if err == nil {
 		r.bytes += uint64(payload)
 	}

@@ -62,8 +62,8 @@ func ReplyBytes(k, n int) int {
 	return headerBytes + n*k*perValueBytes
 }
 
-// DefaultMaxRetransmissions is the per-hop link-layer retry budget used
-// when no TxOptions override it.
+// DefaultMaxRetransmissions is the per-hop link-layer retry budget: a
+// hop is abandoned after this many frames.
 const DefaultMaxRetransmissions = 16
 
 // ErrHopExhausted reports a hop that stayed lossy through the whole ARQ
@@ -75,50 +75,24 @@ var ErrHopExhausted = errors.New("dcs: hop retransmission budget exhausted")
 // or the alive routing graph is partitioned. Test with errors.Is.
 var ErrUnreachable = errors.New("dcs: destination unreachable")
 
-// TxOptions tunes routed-unicast behaviour. The zero value selects the
-// defaults, so existing call sites keep their semantics.
-type TxOptions struct {
-	// MaxRetransmissions bounds per-hop link-layer retries on lossy
-	// links; 0 selects DefaultMaxRetransmissions.
-	MaxRetransmissions int
-	// PathBuf, when non-nil, points at a reusable backing array for the
-	// route path; the (possibly grown) buffer is stored back after each
-	// unicast. Route paths are then only allocated when they outgrow the
-	// buffer. The buffer must not be shared across goroutines.
-	PathBuf *[]int
-}
-
-func (o TxOptions) retries() int {
-	if o.MaxRetransmissions > 0 {
-		return o.MaxRetransmissions
-	}
-	return DefaultMaxRetransmissions
-}
-
 // Unicast routes a payload from one node to another with GPSR, charging
 // one transmission per hop to the network counters. On lossy links each
 // hop retransmits until the frame gets through (ARQ), so every attempt is
-// paid for. It returns the number of transmissions performed.
-func Unicast(net *network.Network, router *gpsr.Router, from, to int, kind network.Kind, payloadBytes int) (int, error) {
-	return UnicastOpts(net, router, from, to, kind, payloadBytes, TxOptions{})
-}
-
-// UnicastOpts is Unicast with an explicit retry budget. Errors wrap
+// paid for. It returns the number of transmissions performed. Errors wrap
 // ErrUnreachable when a dead node or partition blocks the route (retrying
 // is futile) and ErrHopExhausted when a hop stayed lossy through the whole
 // ARQ budget (a retry at a higher layer may succeed).
-func UnicastOpts(net *network.Network, router *gpsr.Router, from, to int, kind network.Kind, payloadBytes int, opts TxOptions) (int, error) {
+//
+// pathBuf points at the caller's reusable backing array for the route
+// path; the (possibly grown) buffer is stored back after each unicast, so
+// route paths are only allocated when they outgrow it. The buffer must not
+// be shared across goroutines.
+func Unicast(net *network.Network, router *gpsr.Router, from, to int, kind network.Kind, payloadBytes int, pathBuf *[]int) (int, error) {
 	if from == to {
 		return 0, nil
 	}
-	var res gpsr.Result
-	var err error
-	if opts.PathBuf != nil {
-		res, err = router.RouteToNodeBuf(from, to, *opts.PathBuf)
-		*opts.PathBuf = res.Path
-	} else {
-		res, err = router.RouteToNode(from, to)
-	}
+	res, err := router.RouteToNodeBuf(from, to, *pathBuf)
+	*pathBuf = res.Path
 	if err != nil {
 		if errors.Is(err, gpsr.ErrUnreachable) {
 			return 0, fmt.Errorf("dcs: unicast %d→%d: %v: %w", from, to, err, ErrUnreachable)
@@ -127,7 +101,7 @@ func UnicastOpts(net *network.Network, router *gpsr.Router, from, to int, kind n
 	}
 	sent := 0
 	for i := 1; i < len(res.Path); i++ {
-		if n, err := transmitARQ(net, res.Path[i-1], res.Path[i], kind, payloadBytes, opts); err != nil {
+		if n, err := transmitARQ(net, res.Path[i-1], res.Path[i], kind, payloadBytes); err != nil {
 			return sent + n, fmt.Errorf("dcs: unicast %d→%d at hop %d: %w", from, to, i, err)
 		} else {
 			sent += n
@@ -140,8 +114,7 @@ func UnicastOpts(net *network.Network, router *gpsr.Router, from, to int, kind n
 // returning the number of frames actually sent. A crashed or depleted
 // endpoint aborts immediately (wrapping ErrUnreachable); a hop that stays
 // lossy through the retry budget wraps ErrHopExhausted.
-func transmitARQ(net *network.Network, from, to int, kind network.Kind, payloadBytes int, opts TxOptions) (int, error) {
-	max := opts.retries()
+func transmitARQ(net *network.Network, from, to int, kind network.Kind, payloadBytes int) (int, error) {
 	for attempt := 1; ; attempt++ {
 		err := net.Transmit(from, to, kind, payloadBytes)
 		if err == nil {
@@ -154,7 +127,7 @@ func transmitARQ(net *network.Network, from, to int, kind network.Kind, payloadB
 		if !errors.Is(err, network.ErrFrameLost) {
 			return attempt, err
 		}
-		if attempt >= max {
+		if attempt >= DefaultMaxRetransmissions {
 			return attempt, fmt.Errorf("dcs: hop %d→%d dropped after %d attempts: %w",
 				from, to, attempt, ErrHopExhausted)
 		}
@@ -163,21 +136,10 @@ func transmitARQ(net *network.Network, from, to int, kind network.Kind, payloadB
 
 // GeoUnicast routes a payload from a node toward a geographic target,
 // charging one transmission per hop, and returns the home node that
-// consumed the packet along with the hop count.
+// consumed the packet along with the hop count. Error semantics match
+// Unicast.
 func GeoUnicast(net *network.Network, router *gpsr.Router, from int, target geo.Point, kind network.Kind, payloadBytes int) (home, hops int, err error) {
-	return GeoUnicastOpts(net, router, from, target, kind, payloadBytes, TxOptions{})
-}
-
-// GeoUnicastOpts is GeoUnicast with an explicit retry budget; error
-// semantics match UnicastOpts.
-func GeoUnicastOpts(net *network.Network, router *gpsr.Router, from int, target geo.Point, kind network.Kind, payloadBytes int, opts TxOptions) (home, hops int, err error) {
-	var res gpsr.Result
-	if opts.PathBuf != nil {
-		res, err = router.RouteBuf(from, target, *opts.PathBuf)
-		*opts.PathBuf = res.Path
-	} else {
-		res, err = router.Route(from, target)
-	}
+	res, err := router.Route(from, target)
 	if err != nil {
 		if errors.Is(err, gpsr.ErrUnreachable) {
 			return -1, 0, fmt.Errorf("dcs: geounicast from %d to %v: %v: %w", from, target, err, ErrUnreachable)
@@ -186,7 +148,7 @@ func GeoUnicastOpts(net *network.Network, router *gpsr.Router, from int, target 
 	}
 	sent := 0
 	for i := 1; i < len(res.Path); i++ {
-		n, err := transmitARQ(net, res.Path[i-1], res.Path[i], kind, payloadBytes, opts)
+		n, err := transmitARQ(net, res.Path[i-1], res.Path[i], kind, payloadBytes)
 		sent += n
 		if err != nil {
 			return res.Home, sent, fmt.Errorf("dcs: geounicast from %d at hop %d: %w", from, i, err)

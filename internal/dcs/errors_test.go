@@ -28,7 +28,7 @@ func TestHopExhaustedIsTyped(t *testing.T) {
 	l := lineLayout(t, 2)
 	net := network.New(l, network.WithLossRate(0.999999999, rng.New(3)))
 	router := gpsr.New(l)
-	_, err := Unicast(net, router, 0, 1, network.KindQuery, 4)
+	_, err := Unicast(net, router, 0, 1, network.KindQuery, 4, new([]int))
 	if !errors.Is(err, ErrHopExhausted) {
 		t.Fatalf("always-lossy unicast: err = %v, want ErrHopExhausted", err)
 	}
@@ -43,22 +43,12 @@ func TestConfigurableARQBudget(t *testing.T) {
 	net := network.New(l, network.WithLossRate(0.999999999, rng.New(7)))
 	router := gpsr.New(l)
 
-	sent, err := UnicastOpts(net, router, 0, 1, network.KindQuery, 4, TxOptions{MaxRetransmissions: 3})
-	if !errors.Is(err, ErrHopExhausted) {
-		t.Fatalf("err = %v, want ErrHopExhausted", err)
-	}
-	if sent != 3 {
-		t.Errorf("sent %d frames, want exactly the 3-frame budget", sent)
-	}
-
-	// The zero value keeps the historical default of 16.
-	net.Reset()
-	sent, err = UnicastOpts(net, router, 0, 1, network.KindQuery, 4, TxOptions{})
+	sent, err := Unicast(net, router, 0, 1, network.KindQuery, 4, new([]int))
 	if !errors.Is(err, ErrHopExhausted) {
 		t.Fatalf("err = %v, want ErrHopExhausted", err)
 	}
 	if sent != DefaultMaxRetransmissions {
-		t.Errorf("sent %d frames, want default budget %d", sent, DefaultMaxRetransmissions)
+		t.Errorf("sent %d frames, want exactly the %d-frame budget", sent, DefaultMaxRetransmissions)
 	}
 }
 
@@ -68,7 +58,7 @@ func TestUnicastDeadDestinationUnreachable(t *testing.T) {
 	router := gpsr.New(l)
 	net.FailNode(3)
 	router.Exclude(3)
-	_, err := Unicast(net, router, 0, 3, network.KindQuery, 8)
+	_, err := Unicast(net, router, 0, 3, network.KindQuery, 8, new([]int))
 	if !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("unicast to dead node: err = %v, want ErrUnreachable", err)
 	}
@@ -85,7 +75,7 @@ func TestUnicastDeadRelayUnreachable(t *testing.T) {
 	net := network.New(l)
 	router := gpsr.New(l)
 	net.FailNode(1)
-	sent, err := Unicast(net, router, 0, 2, network.KindQuery, 8)
+	sent, err := Unicast(net, router, 0, 2, network.KindQuery, 8, new([]int))
 	if !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("unicast through dead relay: err = %v, want ErrUnreachable", err)
 	}
@@ -100,7 +90,7 @@ func TestGeoUnicastPartitionUnreachable(t *testing.T) {
 	router := gpsr.New(l)
 	// Excluding the source makes any route from it unreachable.
 	router.Exclude(0)
-	_, _, err := GeoUnicastOpts(net, router, 0, geo.Pt(90, 0), network.KindInsert, 8, TxOptions{})
+	_, _, err := GeoUnicast(net, router, 0, geo.Pt(90, 0), network.KindInsert, 8)
 	if !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("geo unicast from excluded source: err = %v, want ErrUnreachable", err)
 	}

@@ -82,13 +82,6 @@ func WithTracer(t *trace.Tracer) Option {
 	return optionFunc(func(s *System) { s.tracer = t })
 }
 
-// WithARQBudget overrides the per-hop link-layer retransmission budget
-// for every routed unicast the system issues (default
-// dcs.DefaultMaxRetransmissions).
-func WithARQBudget(n int) Option {
-	return optionFunc(func(s *System) { s.arq = dcs.TxOptions{MaxRetransmissions: n} })
-}
-
 // WithMetrics registers DIM's live metrics on reg: insert/query
 // counters, the per-query zone fan-out histogram, and a function-backed
 // per-node stored-events gauge. A nil registry attaches nothing.
@@ -111,11 +104,9 @@ type System struct {
 	// tracer records structured events; nil disables tracing.
 	tracer *trace.Tracer
 
-	// arq is the per-hop retransmission budget for routed unicasts; its
-	// PathBuf points at pathBuf so route paths reuse one backing array.
-	arq dcs.TxOptions
 	// pathBuf, zoneBuf, visitBuf, and answered are query/insert hot-path
-	// scratch, reused across operations. A System is single-goroutine.
+	// scratch, reused across operations; pathBuf backs every routed
+	// unicast's path. A System is single-goroutine.
 	pathBuf  []int
 	zoneBuf  []Zone
 	visitBuf []zoneVisit
@@ -155,7 +146,6 @@ func New(net *network.Network, router *gpsr.Router, dims int, opts ...Option) (*
 	for _, o := range opts {
 		o.apply(s)
 	}
-	s.arq.PathBuf = &s.pathBuf
 	s.buildZones()
 	if s.reg != nil {
 		s.enableMetrics(s.reg)
@@ -176,11 +166,10 @@ func (s *System) enableMetrics(reg *metrics.Registry) {
 		func() float64 { return float64(len(s.zones)) })
 }
 
-// unicast routes a payload between two nodes, applying the system's ARQ
-// retransmission budget. Every routed exchange in the package goes
-// through here.
+// unicast routes a payload between two nodes over the reused path
+// buffer. Every routed exchange in the package goes through here.
 func (s *System) unicast(from, to int, kind network.Kind, payloadBytes int) (int, error) {
-	return dcs.UnicastOpts(s.net, s.router, from, to, kind, payloadBytes, s.arq)
+	return dcs.Unicast(s.net, s.router, from, to, kind, payloadBytes, &s.pathBuf)
 }
 
 // Name implements dcs.System.
@@ -351,11 +340,6 @@ type zoneVisit struct {
 	ok   bool
 }
 
-// degradable reports whether a unicast failure is one graceful
-// degradation absorbs; the shared predicate lives in dcs so pool, dim,
-// and ght stay in lockstep.
-func degradable(err error) bool { return dcs.IsDegradable(err) }
-
 // QueryWithReport is Query plus a Completeness report over the relevant
 // zones: how many the dissemination addressed, how many were served
 // (visited and, when they held matches, replied), and which were left
@@ -415,12 +399,12 @@ func (s *System) QueryWithReport(sink int, q event.Query) ([]event.Event, dcs.Co
 		}
 		replyBytes := dcs.ReplyBytes(s.dims, len(matches))
 		if _, err := s.unicast(owner, sink, network.KindReply, replyBytes); err != nil {
-			if !degradable(err) {
+			if !dcs.IsDegradable(err) {
 				return nil, comp, fmt.Errorf("dim: reply: %w", err)
 			}
 			comp.Retries++
 			if _, err := s.unicast(owner, sink, network.KindReply, replyBytes); err != nil {
-				if !degradable(err) {
+				if !dcs.IsDegradable(err) {
 					return nil, comp, fmt.Errorf("dim: reply: %w", err)
 				}
 				// The reply never made it: every zone this owner serves
@@ -461,13 +445,13 @@ func (s *System) disseminateChain(sink int, rq event.Query, qBytes int, comp *dc
 	for _, z := range zones {
 		if z.Owner != cur {
 			if _, err := s.unicast(cur, z.Owner, network.KindQuery, qBytes); err != nil {
-				if !degradable(err) {
+				if !dcs.IsDegradable(err) {
 					return nil, fmt.Errorf("dim: query forward: %w", err)
 				}
 				// One retry after a backoff, then give the zone up.
 				comp.Retries++
 				if _, err := s.unicast(cur, z.Owner, network.KindQuery, qBytes); err != nil {
-					if !degradable(err) {
+					if !dcs.IsDegradable(err) {
 						return nil, fmt.Errorf("dim: query forward: %w", err)
 					}
 					comp.Unreached = append(comp.Unreached, fmt.Sprintf("zone %v", z.Code))
@@ -509,14 +493,14 @@ func (s *System) splitWalk(carrier int, t *treeNode, depth int, region []geo.Int
 		comp.CellsTotal++
 		if z.Owner != carrier {
 			if _, err := s.unicast(carrier, z.Owner, network.KindQuery, qBytes); err != nil {
-				if !degradable(err) {
+				if !dcs.IsDegradable(err) {
 					return -1, fmt.Errorf("dim: split forward: %w", err)
 				}
 				// One retry, then give the zone up; the sibling subquery
 				// departs from the carrier instead.
 				comp.Retries++
 				if _, err := s.unicast(carrier, z.Owner, network.KindQuery, qBytes); err != nil {
-					if !degradable(err) {
+					if !dcs.IsDegradable(err) {
 						return -1, fmt.Errorf("dim: split forward: %w", err)
 					}
 					comp.Unreached = append(comp.Unreached, fmt.Sprintf("zone %v", z.Code))

@@ -304,7 +304,7 @@ func TestChurnCompletenessOracle(t *testing.T) {
 	// predicate (a dead splitter reroutes the whole pool's fan-out).
 	protected := map[int]bool{sink: true}
 	for _, p := range s.Pools() {
-		protected[s.SplitterFor(p, sink)] = true
+		protected[s.Splitter(p, sink)] = true
 	}
 	down := map[int]bool{}
 	for len(down) < 6 {

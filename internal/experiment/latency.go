@@ -115,7 +115,7 @@ func poolLatency(env *Env, sink int, q event.Query) (float64, error) {
 		if len(cells) == 0 {
 			continue
 		}
-		splitter := env.Pool.SplitterFor(p, sink)
+		splitter := env.Pool.Splitter(p, sink)
 		toSplitter, err := env.Router.RouteToNode(sink, splitter)
 		if err != nil {
 			return 0, err

@@ -86,9 +86,8 @@ type System struct {
 	mRetries *metrics.Counter
 	mFanout  *metrics.Histogram
 
-	// arq carries the reusable route-path buffer for every unicast this
+	// pathBuf is the reusable route-path buffer for every unicast this
 	// system issues; a System serves one goroutine at a time.
-	arq     dcs.TxOptions
 	pathBuf []int
 }
 
@@ -107,7 +106,6 @@ func New(net *network.Network, router *gpsr.Router, opts ...Option) *System {
 	for _, o := range opts {
 		o.apply(s)
 	}
-	s.arq.PathBuf = &s.pathBuf
 	if s.reg != nil {
 		s.enableMetrics(s.reg)
 	}
@@ -209,7 +207,7 @@ func (s *System) Insert(origin int, e event.Event) error {
 	if err != nil {
 		return fmt.Errorf("ght: insert: %w", err)
 	}
-	if _, err := dcs.UnicastOpts(s.net, s.router, origin, home, network.KindInsert, dcs.EventBytes(e.Dims()), s.arq); err != nil {
+	if _, err := dcs.Unicast(s.net, s.router, origin, home, network.KindInsert, dcs.EventBytes(e.Dims()), &s.pathBuf); err != nil {
 		return fmt.Errorf("ght: insert: %w", err)
 	}
 	s.storage[home] = append(s.storage[home], e)
@@ -285,7 +283,7 @@ func (s *System) QueryWithReport(sink int, q event.Query) ([]event.Event, dcs.Co
 			comp.Unreached = append(comp.Unreached, label)
 			continue
 		}
-		if _, err := dcs.UnicastOpts(s.net, s.router, cur, home, network.KindQuery, qBytes, s.arq); err != nil {
+		if _, err := dcs.Unicast(s.net, s.router, cur, home, network.KindQuery, qBytes, &s.pathBuf); err != nil {
 			if !dcs.IsDegradable(err) {
 				return nil, comp, fmt.Errorf("ght: query: %w", err)
 			}
@@ -293,7 +291,7 @@ func (s *System) QueryWithReport(sink int, q event.Query) ([]event.Event, dcs.Co
 			// point — the hash names exactly one home — so back off and
 			// re-attempt the same node once.
 			comp.Retries++
-			if _, err := dcs.UnicastOpts(s.net, s.router, cur, home, network.KindQuery, qBytes, s.arq); err != nil {
+			if _, err := dcs.Unicast(s.net, s.router, cur, home, network.KindQuery, qBytes, &s.pathBuf); err != nil {
 				if !dcs.IsDegradable(err) {
 					return nil, comp, fmt.Errorf("ght: query: %w", err)
 				}
@@ -305,12 +303,12 @@ func (s *System) QueryWithReport(sink int, q event.Query) ([]event.Event, dcs.Co
 		found := q.Filter(s.storage[home])
 		if len(found) > 0 || s.replDepth == 0 {
 			replyBytes := dcs.ReplyBytes(q.Dims(), len(found))
-			if _, err := dcs.UnicastOpts(s.net, s.router, home, sink, network.KindReply, replyBytes, s.arq); err != nil {
+			if _, err := dcs.Unicast(s.net, s.router, home, sink, network.KindReply, replyBytes, &s.pathBuf); err != nil {
 				if !dcs.IsDegradable(err) {
 					return nil, comp, fmt.Errorf("ght: reply: %w", err)
 				}
 				comp.Retries++
-				if _, err := dcs.UnicastOpts(s.net, s.router, home, sink, network.KindReply, replyBytes, s.arq); err != nil {
+				if _, err := dcs.Unicast(s.net, s.router, home, sink, network.KindReply, replyBytes, &s.pathBuf); err != nil {
 					if !dcs.IsDegradable(err) {
 						return nil, comp, fmt.Errorf("ght: reply: %w", err)
 					}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"pooldcs/internal/dim"
-	"pooldcs/internal/event"
 	"pooldcs/internal/ght"
 	"pooldcs/internal/network"
 	"pooldcs/internal/pool"
@@ -285,31 +284,16 @@ func (b *PoolBackend) Supports(c Class) bool { return true }
 // 3.1 index node for inserts.
 func (b *PoolBackend) Station(op *Op) int {
 	if op.Class == Insert {
-		return b.Sys.IndexNode(b.insertCell(op.Event, op.Node))
+		_, _, index := b.Sys.Place(op.Node, op.Event)
+		return index
 	}
 	rq := op.Query.Rewrite()
 	for _, p := range b.Sys.Pools() {
 		if cells := p.RelevantCells(rq); len(cells) > 0 {
-			return b.Sys.SplitterFor(p, op.Node)
+			return b.Sys.Splitter(p, op.Node)
 		}
 	}
 	return op.Node
-}
-
-// insertCell mirrors the §4.1 tie rule the system applies on Insert.
-func (b *PoolBackend) insertCell(ev event.Event, origin int) pool.CellID {
-	layout := b.Net.Layout()
-	grid := b.Sys.Grid()
-	originCell := grid.CellOf(layout.Pos(origin))
-	dims := event.GreatestDims(ev)
-	bestCell, bestDist := pool.CellID{}, math.Inf(1)
-	for _, d := range dims {
-		cell := b.Sys.Pools()[d-1].InsertCell(ev.Values[d-1], event.SecondGreatest(ev, d))
-		if dist := pool.CellDist(cell, originCell); dist < bestDist {
-			bestCell, bestDist = cell, dist
-		}
-	}
-	return bestCell
 }
 
 // Execute implements SystemBackend.

@@ -4,7 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"pooldcs/internal/stats"
+	"pooldcs/internal/rng"
 )
 
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
@@ -27,6 +27,10 @@ func TestGini(t *testing.T) {
 	if g := Gini([]float64{4, 1, 3, 2}); !almost(g, 0.25) {
 		t.Fatalf("1..4 gini = %v, want 0.25", g)
 	}
+	// Spreading load lowers the coefficient.
+	if Gini([]float64{10, 0, 0, 0}) <= Gini([]float64{4, 3, 2, 1}) {
+		t.Fatal("Gini not ordering concentration correctly")
+	}
 	// Negative loads clamp to zero rather than corrupting the sum.
 	if g := Gini([]float64{-5, 10}); !almost(g, 0.5) {
 		t.Fatalf("clamped gini = %v, want 0.5", g)
@@ -34,16 +38,34 @@ func TestGini(t *testing.T) {
 }
 
 func TestGiniMatchesStatsGini(t *testing.T) {
-	// The float Gini must agree with stats.Gini (the int version the
-	// experiments used before this package existed) on integer loads.
-	loads := []int{3, 0, 7, 7, 1, 12, 4}
-	f := make([]float64, len(loads))
-	for i, v := range loads {
-		f[i] = float64(v)
+	// The sorted-rank formula must agree with the statistical definition
+	// of the Gini coefficient, the mean absolute difference over twice
+	// the mean: Σ_i Σ_j |x_i − x_j| / (2 n Σ x).
+	loads := []float64{3, 0, 7, 7, 1, 12, 4}
+	var diff, sum float64
+	for _, a := range loads {
+		sum += a
+		for _, b := range loads {
+			diff += math.Abs(a - b)
+		}
 	}
-	want := stats.Gini(loads)
-	if got := Gini(f); !almost(got, want) {
-		t.Fatalf("Gini = %v, stats.Gini = %v", got, want)
+	want := diff / (2 * float64(len(loads)) * sum)
+	if got := Gini(loads); !almost(got, want) {
+		t.Fatalf("Gini = %v, mean-absolute-difference Gini = %v", got, want)
+	}
+}
+
+func TestGiniRandomBounds(t *testing.T) {
+	src := rng.New(1)
+	for trial := 0; trial < 200; trial++ {
+		loads := make([]float64, 1+src.Intn(50))
+		for i := range loads {
+			loads[i] = float64(src.Intn(100))
+		}
+		g := Gini(loads)
+		if g < -1e-9 || g > 1 {
+			t.Fatalf("Gini(%v) = %v out of [0,1]", loads, g)
+		}
 	}
 }
 

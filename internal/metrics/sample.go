@@ -5,8 +5,6 @@ import (
 	"math"
 	"strings"
 	"time"
-
-	"pooldcs/internal/sim"
 )
 
 // Sampling — every registered family is reduced to one scalar per tick
@@ -26,11 +24,18 @@ func (r *Registry) Sample(at time.Duration) {
 	}
 }
 
+// Timer is the part of a discrete-event scheduler that sampling runs on;
+// *sim.Scheduler implements it.
+type Timer interface {
+	Now() time.Duration
+	After(d time.Duration, fn func())
+}
+
 // StartSampling schedules a self-repeating sampling event on the
 // scheduler every tick, starting one tick from now, and returns a stop
 // function; without it the series grows until the scheduler drains. The
 // returned stop is a no-op on the disabled registry.
-func (r *Registry) StartSampling(sched *sim.Scheduler, tick time.Duration) (stop func()) {
+func (r *Registry) StartSampling(sched Timer, tick time.Duration) (stop func()) {
 	if r == nil || sched == nil || tick <= 0 {
 		return func() {}
 	}

@@ -66,11 +66,11 @@ func FuzzRepairPackets(f *testing.F) {
 		if got := fx.engine.RepairsInFlight(); got != 0 {
 			t.Errorf("%d repairs still in flight after drain", got)
 		}
-		for c, h := range fx.engine.holder {
+		fx.engine.geo.EachIndexNode(func(c pool.CellID, h int) {
 			if fx.engine.Failed(h) {
 				t.Errorf("cell %v held by dead node %d after drain", c, h)
 			}
-		}
+		})
 		for _, err := range fx.engine.Errors() {
 			t.Errorf("non-degradable transport error: %v", err)
 		}

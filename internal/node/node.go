@@ -25,7 +25,6 @@ package node
 import (
 	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"pooldcs/internal/dcs"
@@ -83,19 +82,19 @@ func WithReplication() Option {
 	return optionFunc(func(e *Engine) { e.replicate = true })
 }
 
-// Engine owns the actors and the shared (configuration-time) structures:
-// pools, pivots, and index-node designations — exactly what the paper
-// assumes is predeployed knowledge.
+// Engine owns the actors and the shared (configuration-time) structure:
+// the Pool geometry — pools, pivots, and index-node designations —
+// exactly what the paper assumes is predeployed knowledge.
 type Engine struct {
 	layout *field.Layout
 	router *gpsr.Router
 	net    *network.Network
 	sched  *sim.Scheduler
 
-	dims   int
-	pools  []pool.Pool
-	grid   *pool.Grid
-	holder map[pool.CellID]int
+	dims int
+	// geo is the engine's own Pool geometry; repair re-elects index
+	// nodes in it.
+	geo *pool.Geometry
 
 	hopLatency time.Duration
 
@@ -230,33 +229,17 @@ func NewEngine(net *network.Network, router *gpsr.Router, sched *sim.Scheduler, 
 		return nil, fmt.Errorf("node: dimensionality must be ≥ 1, got %d", dims)
 	}
 	layout := net.Layout()
-	grid, err := pool.NewGrid(layout.Bounds(), pool.DefaultAlpha)
+	geo, err := pool.NewGeometry(layout, dims, pool.DefaultAlpha, pool.DefaultSide, pivots, src)
 	if err != nil {
 		return nil, err
 	}
-	if pivots == nil {
-		// Reuse pool.New to perform the identical pivot draw, then copy
-		// its layout.
-		probe, err := pool.New(network.New(layout), router, dims, src)
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range probe.Pools() {
-			pivots = append(pivots, p.Pivot)
-		}
-	}
-	if len(pivots) != dims {
-		return nil, fmt.Errorf("node: %d pivots for %d dimensions", len(pivots), dims)
-	}
-
 	e := &Engine{
 		layout:       layout,
 		router:       router,
 		net:          net,
 		sched:        sched,
 		dims:         dims,
-		grid:         grid,
-		holder:       make(map[pool.CellID]int),
+		geo:          geo,
 		hopLatency:   DefaultHopLatency,
 		store:        make([]map[storeKey][]event.Event, layout.N()),
 		stored:       make([]int, layout.N()),
@@ -278,19 +261,6 @@ func NewEngine(net *network.Network, router *gpsr.Router, sched *sim.Scheduler, 
 	if e.replicate {
 		e.mirrors = make(map[storeKey]int)
 		e.mirrorStore = make(map[storeKey][]event.Event)
-	}
-	for i, pc := range pivots {
-		if pc.X < 0 || pc.Y < 0 || pc.X+pool.DefaultSide > grid.Cols || pc.Y+pool.DefaultSide > grid.Rows {
-			return nil, fmt.Errorf("node: pivot %v does not fit the grid", pc)
-		}
-		e.pools = append(e.pools, pool.Pool{Dim: i + 1, Pivot: pc, Side: pool.DefaultSide})
-	}
-	for _, p := range e.pools {
-		for _, c := range p.Cells() {
-			if _, ok := e.holder[c]; !ok {
-				e.holder[c] = layout.Nearest(grid.Center(c))
-			}
-		}
 	}
 	return e, nil
 }
@@ -343,7 +313,7 @@ func (e *Engine) within(span uint64, fn func()) {
 func (e *Engine) Errors() []error { return e.errs }
 
 // Pools returns the engine's Pool layout.
-func (e *Engine) Pools() []pool.Pool { return e.pools }
+func (e *Engine) Pools() []pool.Pool { return e.geo.Pools() }
 
 // send moves a packet from one node to another hop by hop; each hop is a
 // scheduled radio transmission with per-hop link-layer retransmission
@@ -557,22 +527,6 @@ func (e *Engine) freeTask(ti int32) {
 	e.taskFree = ti + 1
 }
 
-// placement runs the §4.1 tie rule, identical to the synchronous
-// system: among the pools of the event's greatest attributes, the
-// candidate cell closest to the detecting sensor wins.
-func (e *Engine) placement(origin int, ev event.Event) (index int, key storeKey) {
-	dims := event.GreatestDims(ev)
-	originCell := e.grid.CellOf(e.layout.Pos(origin))
-	bestDim, bestCell, bestDist := -1, pool.CellID{}, math.Inf(1)
-	for _, d := range dims {
-		cell := e.pools[d-1].InsertCell(ev.Values[d-1], event.SecondGreatest(ev, d))
-		if dist := pool.CellDist(cell, originCell); dist < bestDist {
-			bestDim, bestCell, bestDist = d, cell, dist
-		}
-	}
-	return e.holder[bestCell], storeKey{dim: bestDim, cell: bestCell}
-}
-
 // validateEvent applies the shared insert preconditions.
 func (e *Engine) validateEvent(ev event.Event) error {
 	if err := ev.Validate(); err != nil {
@@ -593,7 +547,8 @@ func (e *Engine) Insert(origin int, ev event.Event, done func()) error {
 	if err := e.validateEvent(ev); err != nil {
 		return err
 	}
-	index, key := e.placement(origin, ev)
+	dim, cell, index := e.geo.Place(origin, ev)
+	key := storeKey{dim: dim, cell: cell}
 	e.mInserts.Inc()
 	span := e.tracer.BeginAt(e.tracer.CurrentSpan(), trace.OpInsert, origin, "")
 	var fail func(error)
@@ -620,8 +575,8 @@ func (e *Engine) Preload(origin int, ev event.Event) error {
 	if err := e.validateEvent(ev); err != nil {
 		return err
 	}
-	index, key := e.placement(origin, ev)
-	e.storeEvent(key, index, ev, false)
+	dim, cell, index := e.geo.Place(origin, ev)
+	e.storeEvent(storeKey{dim: dim, cell: cell}, index, ev, false)
 	return nil
 }
 
@@ -638,7 +593,7 @@ func (e *Engine) storeEvent(key storeKey, index int, ev event.Event, viaRadio bo
 	}
 	mirror, ok := e.mirrors[key]
 	if !ok {
-		mirror = pool.NearestAlive(e.layout, e.dead, e.grid.Center(key.cell), index)
+		mirror = pool.NearestAlive(e.layout, e.dead, e.geo.Grid().Center(key.cell), index)
 		e.mirrors[key] = mirror
 	}
 	if mirror < 0 || e.dead[mirror] {
@@ -698,7 +653,7 @@ func (e *Engine) QueryWithReport(sink int, q event.Query, onDone func(results []
 		cells []pool.CellID
 	}
 	var plans []poolPlan
-	for _, p := range e.pools {
+	for _, p := range e.geo.Pools() {
 		if cells := p.RelevantCells(rq); len(cells) > 0 {
 			plans = append(plans, poolPlan{p: p, cells: cells})
 		}
@@ -721,13 +676,13 @@ func (e *Engine) QueryWithReport(sink int, q event.Query, onDone func(results []
 // one-retry alternate-splitter policy on failure.
 func (e *Engine) startPool(op *operation, p pool.Pool, cells []pool.CellID, rq event.Query) {
 	qBytes := dcs.QueryBytes(e.dims)
-	splitter := e.splitterFor(p, op.sink)
+	splitter := e.geo.Splitter(p, op.sink)
 	e.send(op.sink, splitter, network.KindQuery, qBytes, func() {
 		e.runSplitter(op, p, splitter, cells, rq)
 	}, func(error) {
 		// The splitter timed out: retry once through the Pool's
 		// next-closest index node.
-		alt := e.alternateSplitter(p, op.sink, splitter)
+		alt := e.geo.AlternateSplitter(p, op.sink, splitter)
 		if alt < 0 {
 			e.poolUnreached(op, p, cells)
 			return
@@ -772,7 +727,7 @@ func (e *Engine) runSplitter(op *operation, p pool.Pool, splitter int, cells []p
 func (e *Engine) queryCellVia(op *operation, g *gather, p pool.Pool, c pool.CellID, rq event.Query) {
 	qBytes := dcs.QueryBytes(e.dims)
 	key := storeKey{dim: p.Dim, cell: c}
-	index := e.holder[c]
+	index := e.geo.IndexNode(c)
 	e.send(g.splitter, index, network.KindQuery, qBytes, func() {
 		e.serveCell(op, g, p, c, key, index, false, rq)
 	}, func(error) {
@@ -925,37 +880,6 @@ func (e *Engine) mirrorFor(key storeKey, index int) (int, bool) {
 		return -1, false
 	}
 	return m, true
-}
-
-// splitterFor mirrors pool.System.SplitterFor.
-func (e *Engine) splitterFor(p pool.Pool, sink int) int {
-	sinkPos := e.layout.Pos(sink)
-	best, bestD2 := -1, math.Inf(1)
-	for _, c := range p.Cells() {
-		h := e.holder[c]
-		if d2 := e.layout.Pos(h).Dist2(sinkPos); d2 < bestD2 {
-			best, bestD2 = h, d2
-		}
-	}
-	return best
-}
-
-// alternateSplitter mirrors pool.System.alternateSplitter: the Pool's
-// index node closest to the sink among nodes other than avoid, or -1
-// when the Pool has no other holder.
-func (e *Engine) alternateSplitter(p pool.Pool, sink, avoid int) int {
-	sinkPos := e.layout.Pos(sink)
-	best, bestD2 := -1, math.Inf(1)
-	for _, c := range p.Cells() {
-		h := e.holder[c]
-		if h == avoid {
-			continue
-		}
-		if d2 := e.layout.Pos(h).Dist2(sinkPos); d2 < bestD2 {
-			best, bestD2 = h, d2
-		}
-	}
-	return best
 }
 
 // StorageLoad implements dcs.StorageReporter: events currently held by

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -240,17 +241,35 @@ func TestEmptyQueryCompletes(t *testing.T) {
 	}
 }
 
+// TestEngineRandomPivots checks that the engine and the synchronous
+// system draw the same Pool geometry from the same seed: identical Pools
+// and the same index node for every Pool cell.
 func TestEngineRandomPivots(t *testing.T) {
 	layout, err := field.Generate(field.DefaultSpec(300), rng.New(209))
 	if err != nil {
 		t.Fatal(err)
 	}
 	router := gpsr.New(layout)
-	eng, err := NewEngine(network.New(layout), router, sim.NewScheduler(), 3, rng.New(210), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(eng.Pools()) != 3 {
-		t.Fatalf("pools = %v", eng.Pools())
+	for seed := int64(1); seed <= 5; seed++ {
+		for dims := 1; dims <= 4; dims++ {
+			eng, err := NewEngine(network.New(layout), router, sim.NewScheduler(), dims, rng.New(seed), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys, err := pool.New(network.New(layout), router, dims, rng.New(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(eng.Pools(), sys.Pools()) {
+				t.Fatalf("seed %d, %d dims: engine pools %v, system pools %v", seed, dims, eng.Pools(), sys.Pools())
+			}
+			for _, p := range sys.Pools() {
+				for _, c := range p.Cells() {
+					if got, want := eng.geo.IndexNode(c), sys.IndexNode(c); got != want {
+						t.Errorf("seed %d, %d dims: %v index node %d, system %d", seed, dims, c, got, want)
+					}
+				}
+			}
+		}
 	}
 }

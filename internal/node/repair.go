@@ -152,7 +152,7 @@ func (e *Engine) RepairTraffic() (msgs, bytes uint64) { return e.repairMsgs, e.r
 // round-trip, and service-queue contention with transfer chunks.
 func (e *Engine) QueryDegraded(q event.Query, down func(int) bool) bool {
 	rq := q.Rewrite()
-	for _, p := range e.pools {
+	for _, p := range e.geo.Pools() {
 		for _, c := range p.RelevantCells(rq) {
 			if e.elects[c] != nil {
 				return true
@@ -161,7 +161,7 @@ func (e *Engine) QueryDegraded(q event.Query, down func(int) bool) bool {
 			if e.xfers[key] != nil || e.transferring[key] {
 				return true
 			}
-			h := e.holder[c]
+			h := e.geo.IndexNode(c)
 			if e.dead[h] || (down != nil && down(h)) {
 				return true
 			}
@@ -223,11 +223,11 @@ func (e *Engine) FailNode(victim int) error {
 	// being repaired — the victim's cells, plus any cell stalled by a
 	// repair a previous cascade cut short.
 	var cells []pool.CellID
-	for c, h := range e.holder {
+	e.geo.EachIndexNode(func(c pool.CellID, h int) {
 		if e.dead[h] && e.elects[c] == nil {
 			cells = append(cells, c)
 		}
-	}
+	})
 	sort.Slice(cells, func(i, j int) bool {
 		if cells[i].Y != cells[j].Y {
 			return cells[i].Y < cells[j].Y
@@ -241,7 +241,7 @@ func (e *Engine) FailNode(victim int) error {
 			victim:    victim,
 			cell:      c,
 			initiator: initiator,
-			candidate: pool.NearestAlive(e.layout, e.dead, e.grid.Center(c), -1),
+			candidate: pool.NearestAlive(e.layout, e.dead, e.geo.Grid().Center(c), -1),
 		}
 		// candidate ≥ 0 always holds here: an initiator exists, so the
 		// alive set is non-empty and NearestAlive excludes nobody.
@@ -399,10 +399,10 @@ func (e *Engine) handleRepair(pkt repairPacket) {
 // segment the cell kept there — then any deferred mirror re-homes run
 // against the post-election primary.
 func (e *Engine) electGranted(t *electTask) {
-	e.holder[t.cell] = t.candidate
+	e.geo.SetIndexNode(t.cell, t.candidate)
 	if e.replicate {
-		for _, p := range e.pools {
-			if !cellInPool(p, t.cell) {
+		for _, p := range e.geo.Pools() {
+			if !p.ContainsCell(t.cell) {
 				continue
 			}
 			key := storeKey{dim: p.Dim, cell: t.cell}
@@ -444,7 +444,7 @@ func (e *Engine) adoptMirrorLocally(run *repairRun, key storeKey, candidate int)
 	copied := append([]event.Event(nil), e.mirrorStore[key]...)
 	e.store[candidate][key] = append(e.store[candidate][key], copied...)
 	e.stored[candidate] += len(copied)
-	next := pool.NearestAlive(e.layout, e.dead, e.grid.Center(key.cell), candidate)
+	next := pool.NearestAlive(e.layout, e.dead, e.geo.Grid().Center(key.cell), candidate)
 	if next < 0 {
 		e.mirrors[key] = -1
 		delete(e.mirrorStore, key)
@@ -461,8 +461,8 @@ func (e *Engine) adoptMirrorLocally(run *repairRun, key storeKey, candidate int)
 // startRehome re-copies a key whose mirror died from its (possibly
 // re-elected) primary holder to a fresh mirror node.
 func (e *Engine) startRehome(run *repairRun, initiator int, key storeKey) {
-	index := e.holder[key.cell]
-	next := pool.NearestAlive(e.layout, e.dead, e.grid.Center(key.cell), index)
+	index := e.geo.IndexNode(key.cell)
+	next := pool.NearestAlive(e.layout, e.dead, e.geo.Grid().Center(key.cell), index)
 	if next < 0 {
 		e.mirrors[key] = -1
 		delete(e.mirrorStore, key)
@@ -583,13 +583,13 @@ func (e *Engine) electAborted(t *electTask) {
 		return
 	}
 	delete(e.elects, t.cell)
-	if e.dead[e.holder[t.cell]] && t.retries < electRetryBudget {
+	if e.dead[e.geo.IndexNode(t.cell)] && t.retries < electRetryBudget {
 		initiator := pool.NearestAlive(e.layout, e.dead, e.layout.Pos(t.victim), -1)
 		if initiator >= 0 {
 			nt := &electTask{
 				run: t.run, victim: t.victim, cell: t.cell,
 				initiator: initiator,
-				candidate: pool.NearestAlive(e.layout, e.dead, e.grid.Center(t.cell), -1),
+				candidate: pool.NearestAlive(e.layout, e.dead, e.geo.Grid().Center(t.cell), -1),
 				retries:   t.retries + 1,
 				rehomes:   t.rehomes,
 			}
@@ -646,10 +646,4 @@ func hasSeq(events []event.Event, seq uint64) bool {
 		}
 	}
 	return false
-}
-
-// cellInPool reports whether cell c lies inside Pool p's square.
-func cellInPool(p pool.Pool, c pool.CellID) bool {
-	return c.X >= p.Pivot.X && c.X < p.Pivot.X+p.Side &&
-		c.Y >= p.Pivot.Y && c.Y < p.Pivot.Y+p.Side
 }

@@ -11,6 +11,7 @@ import (
 	"pooldcs/internal/field"
 	"pooldcs/internal/gpsr"
 	"pooldcs/internal/network"
+	"pooldcs/internal/pool"
 	"pooldcs/internal/rng"
 	"pooldcs/internal/sim"
 )
@@ -233,9 +234,9 @@ func TestRepairMessageDeterminism(t *testing.T) {
 		f.sched.Run()
 		h := f.engine.RepairLatency()
 		holders := map[string]int{}
-		for c, n := range f.engine.holder {
+		f.engine.geo.EachIndexNode(func(c pool.CellID, n int) {
 			holders[c.String()] = n
-		}
+		})
 		stores := map[int][]uint64{}
 		for i, m := range f.engine.store {
 			var seqs []uint64
@@ -300,11 +301,11 @@ func TestRepairSurvivesCascade(t *testing.T) {
 		t.Errorf("queries degraded after cascade repair: %d/%d cells",
 			comp.CellsReached, comp.CellsTotal)
 	}
-	for c, h := range f.engine.holder {
+	f.engine.geo.EachIndexNode(func(c pool.CellID, h int) {
 		if f.engine.Failed(h) {
 			t.Errorf("cell %v still held by dead node %d", c, h)
 		}
-	}
+	})
 }
 
 // TestRepairAbortsWhenPartnersDie kills the counterparties of in-flight
@@ -356,11 +357,11 @@ func TestRepairAbortsWhenPartnersDie(t *testing.T) {
 	if len(f.engine.transferring) != 0 {
 		t.Fatalf("%d cells still flagged transferring", len(f.engine.transferring))
 	}
-	for c, h := range f.engine.holder {
+	f.engine.geo.EachIndexNode(func(c pool.CellID, h int) {
 		if f.engine.Failed(h) {
 			t.Errorf("cell %v still held by dead node %d", c, h)
 		}
-	}
+	})
 	sink := f.alive(victim + 1)
 	results, comp := f.runQuery(t, sink, fullQuery())
 	if !comp.Complete() {

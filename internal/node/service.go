@@ -44,11 +44,11 @@ func (e *Engine) MaxQueueDepth() int { return e.svcMaxDepth }
 func (e *Engine) SplittersFor(sink int, q event.Query) []int {
 	rq := q.Rewrite()
 	var out []int
-	for _, p := range e.pools {
+	for _, p := range e.geo.Pools() {
 		if cells := p.RelevantCells(rq); len(cells) == 0 {
 			continue
 		}
-		s := e.splitterFor(p, sink)
+		s := e.geo.Splitter(p, sink)
 		dup := false
 		for _, have := range out {
 			if have == s {

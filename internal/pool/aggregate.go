@@ -126,7 +126,7 @@ func (s *System) Aggregate(sink int, q event.Query, op AggOp, dim int) (float64,
 		if len(cells) == 0 {
 			continue
 		}
-		splitter := s.SplitterFor(p, sink)
+		splitter := s.Splitter(p, sink)
 		if _, err := s.unicast(sink, splitter, network.KindQuery, qBytes); err != nil {
 			return 0, fmt.Errorf("pool: aggregate to splitter: %w", err)
 		}

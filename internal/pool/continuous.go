@@ -50,7 +50,7 @@ func (s *System) Subscribe(sink int, q event.Query) (*Subscription, error) {
 		if len(cells) == 0 {
 			continue
 		}
-		splitter := s.SplitterFor(p, sink)
+		splitter := s.Splitter(p, sink)
 		if s.tracer.Enabled() {
 			s.tracer.Record(trace.TypeFanout, splitter, len(cells), fmt.Sprintf("P%d", p.Dim))
 		}

@@ -31,7 +31,7 @@ func (s *System) Delete(sink int, q event.Query) (int, error) {
 		if len(cells) == 0 {
 			continue
 		}
-		splitter := s.SplitterFor(p, sink)
+		splitter := s.Splitter(p, sink)
 		if _, err := s.unicast(sink, splitter, network.KindQuery, qBytes); err != nil {
 			return removed, fmt.Errorf("pool: delete to splitter: %w", err)
 		}

@@ -87,7 +87,7 @@ func (s *System) FailNode(id int) error {
 					if target != mirror {
 						if _, err := s.unicast(mirror, target,
 							network.KindControl, dcs.ReplyBytes(s.dims, len(recovered))); err != nil {
-							if !degradable(err) {
+							if !dcs.IsDegradable(err) {
 								return fmt.Errorf("pool: recovery transfer: %w", err)
 							}
 							// The mirror is partitioned from the new index
@@ -132,7 +132,7 @@ func (s *System) FailNode(id int) error {
 				if len(live) > 0 && index != next {
 					if _, err := s.unicast(index, next,
 						network.KindControl, dcs.ReplyBytes(s.dims, len(live))); err != nil {
-						if !degradable(err) {
+						if !dcs.IsDegradable(err) {
 							return fmt.Errorf("pool: mirror re-home: %w", err)
 						}
 						// The copy never arrived: the cell has no mirror
@@ -168,7 +168,7 @@ func (s *System) FailNode(id int) error {
 			if len(live) > 0 {
 				if _, err := s.unicast(mirror, next,
 					network.KindControl, dcs.ReplyBytes(s.dims, len(live))); err != nil {
-					if !degradable(err) {
+					if !dcs.IsDegradable(err) {
 						return fmt.Errorf("pool: mirror split: %w", err)
 					}
 					s.mirrors[key] = -1

@@ -135,30 +135,6 @@ func (p Pool) QueryRanges(q event.Query) (rh, rv geo.Interval) {
 	return rh, rv
 }
 
-// RelevantOffsets returns the offsets of the cells of this Pool that may
-// hold answers to the (already rewritten) query — those whose Equation-1
-// ranges intersect the Theorem-3.2 ranges (Algorithm 2).
-func (p Pool) RelevantOffsets(q event.Query) [][2]int {
-	rh, rv := p.QueryRanges(q)
-	if rh.Empty() || rv.Empty() {
-		return nil
-	}
-	var out [][2]int
-	for ho := 0; ho < p.Side; ho++ {
-		h := p.RangeH(ho)
-		if !rh.OverlapsHalfOpen(h.Lo, h.Hi) {
-			continue
-		}
-		for vo := 0; vo < p.Side; vo++ {
-			v := p.RangeV(ho, vo)
-			if rv.OverlapsHalfOpen(v.Lo, v.Hi) {
-				out = append(out, [2]int{ho, vo})
-			}
-		}
-	}
-	return out
-}
-
 // RelevantCells returns the global cells of this Pool relevant to the
 // (already rewritten) query.
 func (p Pool) RelevantCells(q event.Query) []CellID {
@@ -186,20 +162,4 @@ func (p Pool) AppendRelevantCells(dst []CellID, q event.Query) []CellID {
 		}
 	}
 	return dst
-}
-
-// StorageCandidates returns, for each dimension holding the event's
-// greatest value, the Pool dimension and global cell that could store the
-// event. With distinct attribute values it returns exactly one candidate;
-// with ties it returns one per tied dimension (§4.1).
-func StorageCandidates(pools []Pool, e event.Event) []CellID {
-	dims := event.GreatestDims(e)
-	out := make([]CellID, 0, len(dims))
-	for _, d := range dims {
-		p := pools[d-1]
-		vd1 := e.Values[d-1]
-		vd2 := event.SecondGreatest(e, d)
-		out = append(out, p.InsertCell(vd1, vd2))
-	}
-	return out
 }

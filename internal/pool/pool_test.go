@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"pooldcs/internal/event"
+	"pooldcs/internal/field"
+	"pooldcs/internal/geo"
 	"pooldcs/internal/rng"
 )
 
@@ -222,25 +224,56 @@ func sameCells(a, b []CellID) bool {
 	return true
 }
 
+// paperGeometry lays the paper's running-example Pools over a 20×20 grid
+// of 5 m cells with one sensor at the centre of each of the given cells;
+// sensor i sits in cells[i].
+func paperGeometry(t *testing.T, cells ...CellID) *Geometry {
+	t.Helper()
+	grid := Grid{Alpha: DefaultAlpha}
+	pts := make([]geo.Point, len(cells))
+	for i, c := range cells {
+		pts[i] = grid.Center(c)
+	}
+	layout, err := field.FromPositions(pts, 20*DefaultAlpha, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pivots []CellID
+	for _, p := range paperPools() {
+		pivots = append(pivots, p.Pivot)
+	}
+	g, err := NewGeometry(layout, 3, DefaultAlpha, 5, pivots, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 // TestStorageCandidatesTie reproduces §4.1: the tied event <0.4,0.4,0.2>
-// has two candidate cells, one in P1 and one in P2. (The paper's prose
-// lists C(12,13); with the Figure-2 pivots the P2 candidate is C(4,13) —
-// see DESIGN.md §2.)
+// has two candidate cells, one in P1 and one in P2, and is stored once,
+// in the candidate closest to the sensor that detected it. (The paper's
+// prose lists C(12,13); with the Figure-2 pivots the P2 candidate is
+// C(4,13) — see DESIGN.md §2.)
 func TestStorageCandidatesTie(t *testing.T) {
-	pools := paperPools()
+	cands := []CellID{{X: 3, Y: 5}, {X: 4, Y: 13}}
+	g := paperGeometry(t, cands...)
 	e := event.New(0.4, 0.4, 0.2)
-	cands := StorageCandidates(pools, e)
-	want := []CellID{{X: 3, Y: 5}, {X: 4, Y: 13}}
-	if !sameCells(append([]CellID(nil), cands...), want) {
-		t.Errorf("candidates = %v, want %v", cands, want)
+	for origin, want := range cands {
+		dim, cell, index := g.Place(origin, e)
+		if dim != origin+1 || cell != want || index != origin {
+			t.Errorf("sensed in %v: placed in P%d %v at node %d, want P%d %v at node %d",
+				want, dim, cell, index, origin+1, want, origin)
+		}
 	}
 }
 
 func TestStorageCandidatesDistinct(t *testing.T) {
-	pools := paperPools()
-	cands := StorageCandidates(pools, event.New(0.4, 0.3, 0.1))
-	if len(cands) != 1 || cands[0] != (CellID{X: 3, Y: 4}) {
-		t.Errorf("candidates = %v, want [C(3,4)]", cands)
+	g := paperGeometry(t, CellID{X: 3, Y: 5}, CellID{X: 4, Y: 13})
+	for origin := 0; origin < 2; origin++ {
+		dim, cell, _ := g.Place(origin, event.New(0.4, 0.3, 0.1))
+		if dim != 1 || cell != (CellID{X: 3, Y: 4}) {
+			t.Errorf("sensed at node %d: placed in P%d %v, want P1 C(3,4)", origin, dim, cell)
+		}
 	}
 }
 

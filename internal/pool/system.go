@@ -2,7 +2,6 @@ package pool
 
 import (
 	"fmt"
-	"math"
 
 	"pooldcs/internal/dcs"
 	"pooldcs/internal/event"
@@ -29,7 +28,6 @@ type config struct {
 	quota     int // per-node storage quota before delegation; 0 disables sharing
 	replicate bool
 	tracer    *trace.Tracer
-	arq       dcs.TxOptions
 	reg       *metrics.Registry
 }
 
@@ -77,13 +75,6 @@ func WithTracer(t *trace.Tracer) Option {
 	return optionFunc(func(c *config) { c.tracer = t })
 }
 
-// WithARQBudget overrides the per-hop link-layer retransmission budget
-// for every routed unicast the system issues (default
-// dcs.DefaultMaxRetransmissions).
-func WithARQBudget(n int) Option {
-	return optionFunc(func(c *config) { c.arq = dcs.TxOptions{MaxRetransmissions: n} })
-}
-
 // WithMetrics registers the system's live metrics on reg: insert/query
 // counters, the per-query cell fan-out histogram, per-node splitter load,
 // and function-backed gauges over stored events and delegations. A nil
@@ -108,15 +99,14 @@ type segment struct {
 
 // System is a Pool DCS instance over one network.
 type System struct {
+	// Geometry is the system's own copy of the Pool layout; FailNode
+	// re-elects index nodes in it.
+	*Geometry
+
 	net    *network.Network
 	router *gpsr.Router
-	grid   *Grid
-	pools  []Pool
 	dims   int
 
-	// holder maps each Pool cell to its index node — the node closest to
-	// the cell centre (§2), which fields all traffic for the cell.
-	holder map[CellID]int
 	// store holds the storage segments of each (Pool, cell).
 	store map[storeKey][]segment
 	// stored counts events held per node, maintained incrementally.
@@ -126,12 +116,9 @@ type System struct {
 	// delegations counts workload-sharing segment creations.
 	delegations int
 
-	// arq is the per-hop retransmission budget for routed unicasts; its
-	// PathBuf points at pathBuf so route paths reuse one backing array.
-	arq dcs.TxOptions
 	// pathBuf, cellBuf, and servedBuf are query/insert hot-path scratch,
-	// reused across operations. A System is single-goroutine, so plain
-	// fields suffice.
+	// reused across operations; pathBuf backs every routed unicast's
+	// path. A System is single-goroutine, so plain fields suffice.
 	pathBuf   []int
 	cellBuf   []CellID
 	servedBuf []servedCell
@@ -175,60 +162,25 @@ func New(net *network.Network, router *gpsr.Router, dims int, src *rng.Source, o
 		o.apply(&cfg)
 	}
 	layout := net.Layout()
-	grid, err := NewGrid(layout.Bounds(), cfg.alpha)
+	geo, err := NewGeometry(layout, dims, cfg.alpha, cfg.side, cfg.pivots, src)
 	if err != nil {
 		return nil, err
 	}
-	if grid.Cols < cfg.side || grid.Rows < cfg.side {
-		return nil, fmt.Errorf("pool: field of %d×%d cells cannot hold a Pool of side %d",
-			grid.Cols, grid.Rows, cfg.side)
-	}
-
 	s := &System{
+		Geometry:  geo,
 		net:       net,
 		router:    router,
-		grid:      grid,
 		dims:      dims,
-		holder:    make(map[CellID]int),
 		store:     make(map[storeKey][]segment),
 		stored:    make([]int, layout.N()),
 		quota:     cfg.quota,
 		tracer:    cfg.tracer,
 		replicate: cfg.replicate,
-		arq:       cfg.arq,
 		dead:      make([]bool, layout.N()),
 	}
-	s.arq.PathBuf = &s.pathBuf
 	if s.replicate {
 		s.mirrors = make(map[storeKey]int)
 		s.mirrorStore = make(map[storeKey][]event.Event)
-	}
-
-	pivots := cfg.pivots
-	if pivots == nil {
-		if src == nil {
-			return nil, fmt.Errorf("pool: random pivot placement requires a rng source")
-		}
-		pivots = placePivots(grid, dims, cfg.side, src)
-	}
-	if len(pivots) != dims {
-		return nil, fmt.Errorf("pool: %d pivots for %d dimensions", len(pivots), dims)
-	}
-	for i, pc := range pivots {
-		if pc.X < 0 || pc.Y < 0 || pc.X+cfg.side > grid.Cols || pc.Y+cfg.side > grid.Rows {
-			return nil, fmt.Errorf("pool: pivot %v does not fit a Pool of side %d in a %d×%d grid",
-				pc, cfg.side, grid.Cols, grid.Rows)
-		}
-		s.pools = append(s.pools, Pool{Dim: i + 1, Pivot: pc, Side: cfg.side})
-	}
-
-	// Designate index nodes: the node closest to each Pool cell's centre.
-	for _, p := range s.pools {
-		for _, c := range p.Cells() {
-			if _, ok := s.holder[c]; !ok {
-				s.holder[c] = layout.Nearest(grid.Center(c))
-			}
-		}
 	}
 	if cfg.reg != nil {
 		s.enableMetrics(cfg.reg)
@@ -252,40 +204,10 @@ func (s *System) enableMetrics(reg *metrics.Registry) {
 		func() float64 { return float64(s.recoveryMsgs) })
 }
 
-// placePivots draws random pivot cells, preferring a placement where the
-// Pools do not overlap (as in the paper's Figure 2); after 200 attempts it
-// accepts overlap.
-func placePivots(grid *Grid, dims, side int, src *rng.Source) []CellID {
-	maxX := grid.Cols - side
-	maxY := grid.Rows - side
-	var pivots []CellID
-	for attempt := 0; attempt < 200; attempt++ {
-		pivots = make([]CellID, dims)
-		ok := true
-		for i := range pivots {
-			pivots[i] = CellID{X: src.Intn(maxX + 1), Y: src.Intn(maxY + 1)}
-			for j := 0; j < i; j++ {
-				if overlaps(pivots[i], pivots[j], side) {
-					ok = false
-				}
-			}
-		}
-		if ok {
-			break
-		}
-	}
-	return pivots
-}
-
-func overlaps(a, b CellID, side int) bool {
-	return a.X < b.X+side && b.X < a.X+side && a.Y < b.Y+side && b.Y < a.Y+side
-}
-
-// unicast routes a payload between two nodes, applying the system's ARQ
-// retransmission budget. Every routed exchange in the package goes
-// through here.
+// unicast routes a payload between two nodes over the reused path
+// buffer. Every routed exchange in the package goes through here.
 func (s *System) unicast(from, to int, kind network.Kind, payloadBytes int) (int, error) {
-	return dcs.UnicastOpts(s.net, s.router, from, to, kind, payloadBytes, s.arq)
+	return dcs.Unicast(s.net, s.router, from, to, kind, payloadBytes, &s.pathBuf)
 }
 
 // Name implements dcs.System.
@@ -293,21 +215,6 @@ func (s *System) Name() string { return "Pool" }
 
 // Dims returns the event dimensionality.
 func (s *System) Dims() int { return s.dims }
-
-// Grid returns the cell grid.
-func (s *System) Grid() *Grid { return s.grid }
-
-// Pools returns the k Pools. The slice is owned by the system.
-func (s *System) Pools() []Pool { return s.pools }
-
-// IndexNode returns the index node of a Pool cell, or -1 for cells outside
-// every Pool.
-func (s *System) IndexNode(c CellID) int {
-	if h, ok := s.holder[c]; ok {
-		return h
-	}
-	return -1
-}
 
 // Delegations returns how many workload-sharing storage segments have been
 // created beyond the index nodes' own.
@@ -324,21 +231,11 @@ func (s *System) Insert(origin int, e event.Event) error {
 	if e.Dims() != s.dims {
 		return fmt.Errorf("pool: event has %d dims, system built for %d", e.Dims(), s.dims)
 	}
-	dims := event.GreatestDims(e)
-	originCell := s.grid.CellOf(s.net.Layout().Pos(origin))
-	bestDim, bestCell, bestDist := -1, CellID{}, math.Inf(1)
-	for _, d := range dims {
-		cell := s.pools[d-1].InsertCell(e.Values[d-1], event.SecondGreatest(e, d))
-		if dist := CellDist(cell, originCell); dist < bestDist {
-			bestDim, bestCell, bestDist = d, cell, dist
-		}
-	}
-
-	payload := dcs.EventBytes(s.dims)
 	// The event is routed geographically toward the cell; its index node
 	// consumes it on arrival (cell membership and the index role are
 	// cell-local knowledge, so no home-node probe is needed — §2).
-	index := s.holder[bestCell]
+	bestDim, bestCell, index := s.Place(origin, e)
+	payload := dcs.EventBytes(s.dims)
 	if s.tracer.Enabled() {
 		s.tracer.Begin(trace.OpInsert, origin, "")
 		defer s.tracer.End()
@@ -437,22 +334,6 @@ func (s *System) RelevantCells(q event.Query) map[int][]CellID {
 	return out
 }
 
-// SplitterFor returns the Pool's splitter for a given sink: the Pool's
-// index node closest to the sink (§3.2.3). Pools are predefined, so the
-// sink computes this locally.
-func (s *System) SplitterFor(p Pool, sink int) int {
-	layout := s.net.Layout()
-	sinkPos := layout.Pos(sink)
-	best, bestD2 := -1, math.Inf(1)
-	for _, c := range p.Cells() {
-		h := s.holder[c]
-		if d2 := layout.Pos(h).Dist2(sinkPos); d2 < bestD2 {
-			best, bestD2 = h, d2
-		}
-	}
-	return best
-}
-
 // Query implements dcs.System: the query is resolved with Theorem 3.2 and
 // forwarded through one splitter per Pool to every relevant cell; replies
 // converge back through the splitters (§3.2.3). Under node failures the
@@ -498,11 +379,6 @@ func (s *System) QueryWithReport(sink int, q event.Query) ([]event.Event, dcs.Co
 	return results, comp, nil
 }
 
-// degradable reports whether a unicast failure is one graceful
-// degradation absorbs; the shared predicate lives in dcs so pool, dim,
-// and ght stay in lockstep.
-func degradable(err error) bool { return dcs.IsDegradable(err) }
-
 // servedCell records one reached cell of a fan-out and how many matches
 // the splitter holds for it, so the final reply leg can demote served
 // cells when the aggregate reply is lost.
@@ -515,9 +391,6 @@ type servedCell struct {
 // completeness reports. Exported so the node actor engine labels
 // unreached cells identically to the synchronous spec.
 func CellLabel(dim int, c CellID) string { return fmt.Sprintf("P%d %v", dim, c) }
-
-// cellLabel is the package-internal shorthand for CellLabel.
-func cellLabel(dim int, c CellID) string { return CellLabel(dim, c) }
 
 // queryPool resolves the (rewritten) query against one Pool: the query is
 // forwarded through the Pool's splitter to every relevant cell, and the
@@ -539,29 +412,29 @@ func (s *System) queryPool(p Pool, sink int, rq event.Query, qBytes int, comp *d
 	comp.CellsTotal += len(cells)
 	unreachedAll := func() {
 		for _, c := range cells {
-			comp.Unreached = append(comp.Unreached, cellLabel(p.Dim, c))
+			comp.Unreached = append(comp.Unreached, CellLabel(p.Dim, c))
 		}
 	}
-	splitter := s.SplitterFor(p, sink)
+	splitter := s.Splitter(p, sink)
 	if s.tracer.Enabled() {
 		s.tracer.Begin(trace.OpFanout, splitter, fmt.Sprintf("P%d", p.Dim))
 		defer s.tracer.End()
 		s.tracer.Record(trace.TypeFanout, splitter, len(cells), fmt.Sprintf("P%d", p.Dim))
 	}
 	if _, err := s.unicast(sink, splitter, network.KindQuery, qBytes); err != nil {
-		if !degradable(err) {
+		if !dcs.IsDegradable(err) {
 			return nil, fmt.Errorf("pool: query to splitter: %w", err)
 		}
 		// The splitter timed out: retry once through the Pool's
 		// next-closest index node.
-		alt := s.alternateSplitter(p, sink, splitter)
+		alt := s.AlternateSplitter(p, sink, splitter)
 		if alt < 0 {
 			unreachedAll()
 			return nil, nil
 		}
 		comp.Retries++
 		if _, err := s.unicast(sink, alt, network.KindQuery, qBytes); err != nil {
-			if !degradable(err) {
+			if !dcs.IsDegradable(err) {
 				return nil, fmt.Errorf("pool: query to alternate splitter: %w", err)
 			}
 			unreachedAll()
@@ -583,7 +456,7 @@ func (s *System) queryPool(p Pool, sink int, rq event.Query, qBytes int, comp *d
 			return nil, err
 		}
 		if !ok {
-			comp.Unreached = append(comp.Unreached, cellLabel(p.Dim, c))
+			comp.Unreached = append(comp.Unreached, CellLabel(p.Dim, c))
 			continue
 		}
 		served = append(served, servedCell{cell: c, matches: len(matches)})
@@ -596,12 +469,12 @@ func (s *System) queryPool(p Pool, sink int, rq event.Query, qBytes int, comp *d
 		}
 		replyBytes := dcs.ReplyBytes(s.dims, len(poolResults))
 		if _, err := s.unicast(splitter, sink, network.KindReply, replyBytes); err != nil {
-			if !degradable(err) {
+			if !dcs.IsDegradable(err) {
 				return nil, fmt.Errorf("pool: reply to sink: %w", err)
 			}
 			comp.Retries++
 			if _, err := s.unicast(splitter, sink, network.KindReply, replyBytes); err != nil {
-				if !degradable(err) {
+				if !dcs.IsDegradable(err) {
 					return nil, fmt.Errorf("pool: reply to sink: %w", err)
 				}
 				// The aggregate reply never made it back: every cell whose
@@ -609,7 +482,7 @@ func (s *System) queryPool(p Pool, sink int, rq event.Query, qBytes int, comp *d
 				// still count as served, as in the fault-free protocol.
 				for _, sc := range served {
 					if sc.matches > 0 {
-						comp.Unreached = append(comp.Unreached, cellLabel(p.Dim, sc.cell))
+						comp.Unreached = append(comp.Unreached, CellLabel(p.Dim, sc.cell))
 					} else {
 						comp.CellsReached++
 					}
@@ -630,7 +503,7 @@ func (s *System) queryCellVia(p Pool, key storeKey, splitter int, rq event.Query
 	target, useMirror := index, false
 	if index != splitter {
 		if _, err := s.unicast(splitter, index, network.KindQuery, qBytes); err != nil {
-			if !degradable(err) {
+			if !dcs.IsDegradable(err) {
 				return nil, false, fmt.Errorf("pool: query to cell %v: %w", key.cell, err)
 			}
 			// The index node timed out: one retry, preferring the cell's
@@ -639,7 +512,7 @@ func (s *System) queryCellVia(p Pool, key storeKey, splitter int, rq event.Query
 			if m, hasMirror := s.mirrorFor(key, index); hasMirror {
 				if m != splitter {
 					if _, err2 := s.unicast(splitter, m, network.KindQuery, qBytes); err2 != nil {
-						if !degradable(err2) {
+						if !dcs.IsDegradable(err2) {
 							return nil, false, fmt.Errorf("pool: query to mirror of %v: %w", key.cell, err2)
 						}
 						return nil, false, nil
@@ -649,7 +522,7 @@ func (s *System) queryCellVia(p Pool, key storeKey, splitter int, rq event.Query
 			} else {
 				// No mirror: back off and re-attempt the primary once.
 				if _, err2 := s.unicast(splitter, index, network.KindQuery, qBytes); err2 != nil {
-					if !degradable(err2) {
+					if !dcs.IsDegradable(err2) {
 						return nil, false, fmt.Errorf("pool: query to cell %v: %w", key.cell, err2)
 					}
 					return nil, false, nil
@@ -670,12 +543,12 @@ func (s *System) queryCellVia(p Pool, key storeKey, splitter int, rq event.Query
 	}
 	replyBytes := dcs.ReplyBytes(s.dims, len(matches))
 	if _, err := s.unicast(target, splitter, network.KindReply, replyBytes); err != nil {
-		if !degradable(err) {
+		if !dcs.IsDegradable(err) {
 			return nil, false, fmt.Errorf("pool: reply from cell %v: %w", key.cell, err)
 		}
 		comp.Retries++
 		if _, err := s.unicast(target, splitter, network.KindReply, replyBytes); err != nil {
-			if !degradable(err) {
+			if !dcs.IsDegradable(err) {
 				return nil, false, fmt.Errorf("pool: reply from cell %v: %w", key.cell, err)
 			}
 			return nil, false, nil
@@ -695,24 +568,6 @@ func (s *System) mirrorFor(key storeKey, index int) (int, bool) {
 		return -1, false
 	}
 	return m, true
-}
-
-// alternateSplitter returns the Pool's index node closest to the sink
-// among nodes other than avoid, or -1 when the Pool has no other holder.
-func (s *System) alternateSplitter(p Pool, sink, avoid int) int {
-	layout := s.net.Layout()
-	sinkPos := layout.Pos(sink)
-	best, bestD2 := -1, math.Inf(1)
-	for _, c := range p.Cells() {
-		h := s.holder[c]
-		if h == avoid {
-			continue
-		}
-		if d2 := layout.Pos(h).Dist2(sinkPos); d2 < bestD2 {
-			best, bestD2 = h, d2
-		}
-	}
-	return best
 }
 
 // queryCell scans all storage segments of one cell. Delegated segments

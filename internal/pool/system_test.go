@@ -198,7 +198,7 @@ func TestSplitterIsPoolIndexNodeClosestToSink(t *testing.T) {
 	layout := net.Layout()
 	sink := 42
 	for _, p := range s.Pools() {
-		splitter := s.SplitterFor(p, sink)
+		splitter := s.Splitter(p, sink)
 		sd := layout.Pos(splitter).Dist2(layout.Pos(sink))
 		for _, c := range p.Cells() {
 			if d := layout.Pos(s.IndexNode(c)).Dist2(layout.Pos(sink)); d < sd {

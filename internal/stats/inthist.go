@@ -7,10 +7,10 @@ import (
 )
 
 // IntHistogram is an exact histogram over integer-valued observations —
-// hop counts, per-query message totals, millisecond latencies. Unlike the
-// fixed-width Histogram it needs no a-priori range and answers arbitrary
-// quantiles exactly, at the cost of one map entry per distinct value
-// (fine for the small discrete domains it is meant for).
+// hop counts, per-query message totals, millisecond latencies. It needs
+// no a-priori range and answers arbitrary quantiles exactly, at the cost
+// of one map entry per distinct value (fine for the small discrete
+// domains it is meant for).
 type IntHistogram struct {
 	counts map[int64]uint64
 	total  uint64

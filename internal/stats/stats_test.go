@@ -5,8 +5,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-
-	"pooldcs/internal/rng"
 )
 
 func TestSummaryBasics(t *testing.T) {
@@ -87,70 +85,5 @@ func TestPercentile(t *testing.T) {
 	// Input must not be mutated.
 	if values[0] != 5 {
 		t.Error("Percentile mutated its input")
-	}
-}
-
-func TestGini(t *testing.T) {
-	if g := Gini([]int{5, 5, 5, 5}); math.Abs(g) > 1e-12 {
-		t.Errorf("even loads Gini = %v, want 0", g)
-	}
-	// All load on one of many nodes tends toward 1.
-	loads := make([]int, 100)
-	loads[7] = 1000
-	if g := Gini(loads); g < 0.95 {
-		t.Errorf("concentrated Gini = %v, want ≈0.99", g)
-	}
-	if Gini(nil) != 0 || Gini([]int{0, 0}) != 0 {
-		t.Error("degenerate Gini should be 0")
-	}
-	// Monotonicity: spreading load lowers the coefficient.
-	if Gini([]int{10, 0, 0, 0}) <= Gini([]int{4, 3, 2, 1}) {
-		t.Error("Gini not ordering concentration correctly")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []float64{0, 1.9, 2, 5, 9.9, -3, 42} {
-		h.Add(v)
-	}
-	if h.Total() != 7 {
-		t.Errorf("Total = %d", h.Total())
-	}
-	want := []int{3, 1, 1, 0, 2} // -3 clamps into first, 42 into last
-	for i, w := range want {
-		if h.Buckets[i] != w {
-			t.Errorf("bucket %d = %d, want %d (all %v)", i, h.Buckets[i], w, h.Buckets)
-		}
-	}
-	out := h.Render(20)
-	if !strings.Contains(out, "#") || len(strings.Split(strings.TrimSpace(out), "\n")) != 5 {
-		t.Errorf("Render:\n%s", out)
-	}
-}
-
-func TestHistogramValidation(t *testing.T) {
-	if _, err := NewHistogram(0, 10, 0); err == nil {
-		t.Error("zero buckets accepted")
-	}
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Error("empty range accepted")
-	}
-}
-
-func TestGiniRandomBounds(t *testing.T) {
-	src := rng.New(1)
-	for trial := 0; trial < 200; trial++ {
-		loads := make([]int, 1+src.Intn(50))
-		for i := range loads {
-			loads[i] = src.Intn(100)
-		}
-		g := Gini(loads)
-		if g < -1e-9 || g > 1 {
-			t.Fatalf("Gini(%v) = %v out of [0,1]", loads, g)
-		}
 	}
 }
