@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race race-parallel fuzz chaos conformance $(COVER_TARGETS) smoke-bench micro-bench loadtest check bench bench-compare golden
+.PHONY: build test vet race race-parallel fuzz chaos conformance $(COVER_TARGETS) smoke-bench micro-bench loadtest perfbench check bench bench-compare golden
 
 build:
 	$(GO) build ./...
@@ -66,7 +66,8 @@ conformance:
 #                property/fuzz suite reaches anyway
 #   pool         owns the Pool geometry (placement, splitters, index
 #                nodes) that node and load consume
-COVER_GATES := ght:80 metrics:80 antientropy:80 node:80 trace:80 attrib:80 sim:90 pool:80
+#   deploy       every experiment, CLI and harness builds through it
+COVER_GATES := ght:80 metrics:80 antientropy:80 node:80 trace:80 attrib:80 sim:90 pool:80 deploy:80
 COVER_TARGETS := $(foreach g,$(COVER_GATES),cover-$(firstword $(subst :, ,$(g))))
 
 $(COVER_TARGETS): cover-%:
@@ -119,7 +120,12 @@ micro-bench:
 loadtest:
 	$(GO) test -count=1 ./cmd/poolload ./internal/load
 
-check: build vet race race-parallel fuzz chaos conformance $(COVER_TARGETS) smoke-bench micro-bench loadtest
+# The benchmark harness is a nested module, so `go build ./...` never
+# compiles it; vet and test it against the constructors it calls.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test .
+
+check: build vet race race-parallel fuzz chaos conformance $(COVER_TARGETS) smoke-bench micro-bench loadtest perfbench
 
 # Full benchmark sweep, archived as machine-readable JSON
 # (BENCH_<date>.json) via cmd/benchjson for cross-commit diffing, with

@@ -88,6 +88,9 @@ func run(args []string, out io.Writer) error {
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected argument %q (poolload takes only flags)", fs.Arg(0))
 	}
+	if *perNode < 0 {
+		return fmt.Errorf("-events-per-node must be ≥ 0, got %d", *perNode)
+	}
 
 	if *quick {
 		*nodes = 120

@@ -68,6 +68,7 @@ func TestBadFlags(t *testing.T) {
 		{"-rates", "10,x"},
 		{"-rates", "-5"},
 		{"-mix", "1,2"},
+		{"-events-per-node", "-1", "-quick", "-rates", "10"},
 		{"-format", "yaml", "-quick", "-rates", "10"},
 		{"positional"},
 	}

@@ -46,11 +46,10 @@ import (
 	"pooldcs/internal/attrib"
 	"pooldcs/internal/chaos"
 	"pooldcs/internal/dcs"
+	"pooldcs/internal/deploy"
 	"pooldcs/internal/discovery"
 	"pooldcs/internal/field"
-	"pooldcs/internal/gpsr"
 	"pooldcs/internal/metrics"
-	"pooldcs/internal/network"
 	"pooldcs/internal/node"
 	"pooldcs/internal/pool"
 	"pooldcs/internal/rng"
@@ -91,34 +90,36 @@ func run(args []string, out io.Writer) error {
 	if *tick <= 0 || *horizon <= 0 {
 		return fmt.Errorf("tick and horizon must be positive")
 	}
+	if *events < 0 || *queries < 0 {
+		return fmt.Errorf("-events and -queries must be ≥ 0, got %d and %d", *events, *queries)
+	}
 	if *churn < 0 || *churn > 90 {
 		return fmt.Errorf("churn %d%% outside [0, 90]", *churn)
 	}
 
 	reg := metrics.New()
 	src := rng.New(*seed)
-	layout, err := field.Generate(field.DefaultSpec(*n), src.Fork("layout"))
+	layout, err := deploy.Layout(field.DefaultSpec(*n), src)
 	if err != nil {
 		return err
 	}
 	sched := sim.NewScheduler()
-	net := network.New(layout, network.WithMetrics(reg))
-	router := gpsr.New(layout)
-	poolOpts := []pool.Option{pool.WithMetrics(reg)}
+	backend := "pool"
 	if *repair {
-		poolOpts = append(poolOpts, pool.WithReplication())
+		backend = "pool+repl"
 	}
-	sys, err := pool.New(net, router, *dims, src.Fork("pivots"), poolOpts...)
+	u, err := deploy.NewUniverse(layout, sched, backend, *dims, src.Fork("pivots"), reg)
 	if err != nil {
 		return err
 	}
+	sys := u.Sys.(*pool.System)
 	// The actor engine shares the pool layout so both implementations
 	// observe the same cells.
 	var pivots []pool.CellID
 	for _, p := range sys.Pools() {
 		pivots = append(pivots, p.Pivot)
 	}
-	actors, err := node.NewEngine(net, router, sched, *dims, src.Fork("actors"), pivots)
+	actors, err := node.NewEngine(u.Net, u.Router, sched, *dims, src.Fork("actors"), pivots)
 	if err != nil {
 		return err
 	}
@@ -132,12 +133,10 @@ func run(args []string, out io.Writer) error {
 		flight = trace.NewRing(sched, autopsyRing)
 		actors.SetTracer(flight)
 	}
-	disc := discovery.New(net, sched, src.Fork("beacons"), discovery.Config{})
-	disc.EnableMetrics(reg)
 	// With -repair, rejoining nodes kick an immediate reconciliation
 	// round through the engine's recovery hook.
 	var rec *antientropy.Reconciler
-	engineOpts := []chaos.EngineOption{chaos.WithFailureDetection(disc), chaos.WithMetrics(reg)}
+	var engineOpts []chaos.EngineOption
 	if *repair {
 		engineOpts = append(engineOpts, chaos.WithRecoveryHook(func(int) {
 			if rec != nil {
@@ -145,9 +144,10 @@ func run(args []string, out io.Writer) error {
 			}
 		}))
 	}
-	engine := chaos.NewEngine(sched, net, router, []chaos.System{sys}, engineOpts...)
+	u.Detect(src.Fork("beacons"), discovery.Config{}, engineOpts...)
+	disc, engine := u.Detector, u.Engine
 	if *repair {
-		rec = antientropy.New(sched, net, router, antientropy.Config{}, sys)
+		rec = antientropy.New(sched, u.Net, u.Router, antientropy.Config{}, sys)
 		rec.EnableMetrics(reg)
 	}
 	if *churn > 0 {

@@ -201,4 +201,10 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-nosuchflag"}, &out); err == nil {
 		t.Error("unknown flag accepted")
 	}
+	if err := run([]string{"-events", "-1"}, &out); err == nil {
+		t.Error("negative event count accepted")
+	}
+	if err := run([]string{"-queries", "-1"}, &out); err == nil {
+		t.Error("negative query count accepted")
+	}
 }

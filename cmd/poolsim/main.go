@@ -126,6 +126,9 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
+	if *queries < 1 {
+		return fmt.Errorf("-queries must be ≥ 1, got %d", *queries)
+	}
 	names := fs.Args()
 	if len(names) == 0 {
 		return fmt.Errorf("no experiment given; choose from: %s, all", strings.Join(order, ", "))

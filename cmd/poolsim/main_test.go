@@ -74,6 +74,12 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-trace-ring", "-1", "saturation"}, &out); err == nil {
 		t.Error("negative trace ring accepted")
 	}
+	if err := run([]string{"-queries", "-5", "-sizes", "50", "fig6a"}, &out); err == nil {
+		t.Error("negative query count accepted")
+	}
+	if err := run([]string{"-queries", "0", "fig7a"}, &out); err == nil {
+		t.Error("zero query count accepted")
+	}
 }
 
 // TestRunTraceRing: a tiny flight recorder must still produce a valid

@@ -94,6 +94,9 @@ func record(args []string, out io.Writer) error {
 	if fs.NArg() != 0 {
 		return fmt.Errorf("record takes no positional arguments")
 	}
+	if o.EventsPerNode < 0 || o.Queries < 0 || o.Subscriptions < 0 || o.Failures < 0 {
+		return fmt.Errorf("-events, -queries, -subs and -fail must be ≥ 0")
+	}
 
 	res, err := experiment.TraceRun(o)
 	if err != nil {

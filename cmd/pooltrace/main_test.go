@@ -157,4 +157,9 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"autopsy", "/nonexistent/trace.jsonl"}, &out); err == nil {
 		t.Error("autopsy on missing file accepted")
 	}
+	for _, flag := range []string{"-queries", "-events", "-subs", "-fail"} {
+		if err := run([]string{"record", flag, "-1", "-o", "-"}, &out); err == nil {
+			t.Errorf("negative %s accepted", flag)
+		}
+	}
 }

@@ -22,10 +22,10 @@ import (
 	"strconv"
 	"strings"
 
+	"pooldcs/internal/deploy"
 	"pooldcs/internal/event"
-	"pooldcs/internal/experiment"
 	"pooldcs/internal/field"
-	"pooldcs/internal/gpsr"
+	"pooldcs/internal/network"
 	"pooldcs/internal/pool"
 	"pooldcs/internal/rng"
 	"pooldcs/internal/texttable"
@@ -182,12 +182,15 @@ func runLayout(args []string, out io.Writer) error {
 	}
 
 	src := rng.New(*seed)
-	env, err := experiment.NewEnv(*n, 3, src)
+	layout, router, err := deploy.Substrate(field.DefaultSpec(*n), src)
 	if err != nil {
 		return err
 	}
-	layout := env.Layout
-	g := env.Pool.Grid()
+	sys, err := pool.New(network.New(layout), router, 3, src.Fork("pivots"))
+	if err != nil {
+		return err
+	}
+	g := sys.Grid()
 
 	// Character grid: 2 cells per character column to keep aspect ratio.
 	const maxWidth = 100
@@ -200,7 +203,7 @@ func runLayout(args []string, out io.Writer) error {
 	fmt.Fprintln(out, "digits = Pool cells (pool number), * = node present, . = empty")
 
 	poolOf := make(map[pool.CellID]int)
-	for _, p := range env.Pool.Pools() {
+	for _, p := range sys.Pools() {
 		for _, c := range p.Cells() {
 			poolOf[c] = p.Dim
 		}
@@ -243,8 +246,7 @@ func runRoute(args []string, out io.Writer) error {
 		return err
 	}
 
-	src := rng.New(*seed)
-	layout, err := field.Generate(field.DefaultSpec(*n), src)
+	layout, router, err := deploy.Substrate(field.DefaultSpec(*n), rng.New(*seed))
 	if err != nil {
 		return err
 	}
@@ -254,7 +256,6 @@ func runRoute(args []string, out io.Writer) error {
 	if *from < 0 || *from >= layout.N() || *to < 0 || *to >= layout.N() {
 		return fmt.Errorf("nodes must be in 0..%d", layout.N()-1)
 	}
-	router := gpsr.New(layout)
 	res, err := router.RouteToNode(*from, *to)
 	if err != nil {
 		return err

@@ -1,10 +1,16 @@
 package main
 
 import (
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
+	"pooldcs/internal/deploy"
 	"pooldcs/internal/event"
+	"pooldcs/internal/field"
+	"pooldcs/internal/pool"
+	"pooldcs/internal/rng"
 )
 
 func TestParseQuery(t *testing.T) {
@@ -163,6 +169,59 @@ func TestRunRouteDefaults(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "GPSR 0 → 299") {
 		t.Errorf("default route wrong:\n%.120s", out.String())
+	}
+}
+
+// TestRouteAndLayoutSameField: for the same -n and -seed, route and
+// layout draw the one deployment deploy.Substrate builds — route's
+// distance and path come from its layout and router, and layout renders
+// every one of its nodes' cells as occupied.
+func TestRouteAndLayoutSameField(t *testing.T) {
+	const n = 200
+	for _, seed := range []int64{1, 7, 42} {
+		layout, router, err := deploy.Substrate(field.DefaultSpec(n), rng.New(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		args := []string{"-n", strconv.Itoa(n), "-seed", strconv.FormatInt(seed, 10)}
+
+		var route strings.Builder
+		if err := run(append([]string{"route"}, args...), &route); err != nil {
+			t.Fatal(err)
+		}
+		res, err := router.RouteToNode(0, n-1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{
+			fmt.Sprintf("distance %.0f m", layout.Pos(0).Dist(layout.Pos(n-1))),
+			fmt.Sprint("path: ", res.Path),
+		} {
+			if !strings.Contains(route.String(), want) {
+				t.Errorf("seed %d: route output lacks %q", seed, want)
+			}
+		}
+
+		var out strings.Builder
+		if err := run(append([]string{"layout"}, args...), &out); err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(out.String(), "\n")
+		var step int
+		if _, err := fmt.Sscanf(lines[0][strings.Index(lines[0], "1 char = "):], "1 char = %d cells", &step); err != nil {
+			t.Fatalf("layout header %q: %v", lines[0], err)
+		}
+		g, err := pool.NewGrid(layout.Bounds(), pool.DefaultAlpha)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id := 0; id < n; id++ {
+			c := g.CellOf(layout.Pos(id))
+			row := []rune(lines[2+(g.Rows-1-c.Y)/step])
+			if row[c.X/step] == '.' {
+				t.Fatalf("seed %d: node %d's cell %v renders empty", seed, id, c)
+			}
+		}
 	}
 }
 

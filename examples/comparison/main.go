@@ -78,12 +78,7 @@ func run() error {
 	var poolPt, dimPt, ghtPt float64
 	const pointQueries = 50
 	for i := 0; i < pointQueries; i++ {
-		target := events[pickSrc.Intn(len(events))].Event
-		ranges := make([]event.Range, 3)
-		for j, v := range target.Values {
-			ranges[j] = event.PointRange(v)
-		}
-		q := event.NewQuery(ranges...)
+		q := event.PointQuery(events[pickSrc.Intn(len(events))].Event)
 		sink := sinkSrc.Intn(nodes)
 
 		cost := func(net *network.Network, run func() error) (float64, error) {

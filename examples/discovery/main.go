@@ -10,6 +10,7 @@ import (
 	"log"
 	"time"
 
+	"pooldcs/internal/deploy"
 	"pooldcs/internal/discovery"
 	"pooldcs/internal/field"
 	"pooldcs/internal/network"
@@ -25,7 +26,7 @@ func main() {
 
 func run() error {
 	src := rng.New(2026)
-	layout, err := field.Generate(field.DefaultSpec(300), src.Fork("layout"))
+	layout, err := deploy.Layout(field.DefaultSpec(300), src)
 	if err != nil {
 		return err
 	}

@@ -10,9 +10,9 @@ import (
 	"fmt"
 	"log"
 
+	"pooldcs/internal/deploy"
 	"pooldcs/internal/event"
 	"pooldcs/internal/field"
-	"pooldcs/internal/gpsr"
 	"pooldcs/internal/network"
 	"pooldcs/internal/pool"
 	"pooldcs/internal/rng"
@@ -50,12 +50,12 @@ func main() {
 
 func run() error {
 	src := rng.New(20260705)
-	layout, err := field.Generate(field.DefaultSpec(600), src.Fork("layout"))
+	layout, router, err := deploy.Substrate(field.DefaultSpec(600), src)
 	if err != nil {
 		return err
 	}
 	net := network.New(layout)
-	sys, err := pool.New(net, gpsr.New(layout), len(attrs), src.Fork("pivots"))
+	sys, err := pool.New(net, router, len(attrs), src.Fork("pivots"))
 	if err != nil {
 		return err
 	}

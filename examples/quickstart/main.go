@@ -8,9 +8,9 @@ import (
 	"log"
 
 	"pooldcs/internal/dcs"
+	"pooldcs/internal/deploy"
 	"pooldcs/internal/event"
 	"pooldcs/internal/field"
-	"pooldcs/internal/gpsr"
 	"pooldcs/internal/network"
 	"pooldcs/internal/pool"
 	"pooldcs/internal/rng"
@@ -26,11 +26,10 @@ func run() error {
 	// 1. Deploy 300 sensors with the paper's density (≈20 neighbours in a
 	//    40 m radio range) and build the GPSR routing substrate.
 	src := rng.New(1)
-	layout, err := field.Generate(field.DefaultSpec(300), src.Fork("layout"))
+	layout, router, err := deploy.Substrate(field.DefaultSpec(300), src)
 	if err != nil {
 		return err
 	}
-	router := gpsr.New(layout)
 	net := network.New(layout)
 	fmt.Printf("deployed %d sensors on a %.0f m field (avg degree %.1f)\n",
 		layout.N(), layout.Side, layout.AvgDegree())

@@ -189,6 +189,16 @@ type Query struct {
 // NewQuery builds a query over the given ranges.
 func NewQuery(ranges ...Range) Query { return Query{Ranges: ranges} }
 
+// PointQuery builds the exact-match query addressing e's key — the one
+// query class every storage scheme, GHT included, can evaluate.
+func PointQuery(e Event) Query {
+	rs := make([]Range, len(e.Values))
+	for i, v := range e.Values {
+		rs[i] = PointRange(v)
+	}
+	return NewQuery(rs...)
+}
+
 // Dims returns the dimensionality k of the query.
 func (q Query) Dims() int { return len(q.Ranges) }
 
@@ -312,4 +322,23 @@ func (q Query) Filter(events []Event) []Event {
 		}
 	}
 	return out
+}
+
+// Recall returns |got ∩ want| / |want|, matching events by sequence
+// number; 1 when want is empty (nothing to miss).
+func Recall(got, want []Event) float64 {
+	if len(want) == 0 {
+		return 1
+	}
+	seqs := make(map[uint64]bool, len(want))
+	for _, e := range want {
+		seqs[e.Seq] = true
+	}
+	hit := 0
+	for _, e := range got {
+		if seqs[e.Seq] {
+			hit++
+		}
+	}
+	return float64(hit) / float64(len(want))
 }

@@ -317,3 +317,33 @@ func TestValuesNearOne(t *testing.T) {
 		t.Errorf("Validate(just below 1) = %v", err)
 	}
 }
+
+func TestPointQuery(t *testing.T) {
+	e := New(0.1, 0.5, 0.9)
+	q := PointQuery(e)
+	if q.Dims() != 3 || q.Classify() != ExactPoint || !q.Matches(e) {
+		t.Fatalf("PointQuery(%v) = %v", e, q)
+	}
+	if q.Matches(New(0.1, 0.5, 0.8)) {
+		t.Error("point query matches a different key")
+	}
+}
+
+func TestRecall(t *testing.T) {
+	a, b, c := Event{Seq: 1}, Event{Seq: 2}, Event{Seq: 3}
+	cases := []struct {
+		got, want []Event
+		recall    float64
+	}{
+		{nil, nil, 1},
+		{[]Event{a}, nil, 1},
+		{nil, []Event{a, b}, 0},
+		{[]Event{a, c}, []Event{a, b}, 0.5},
+		{[]Event{b, a}, []Event{a, b}, 1},
+	}
+	for _, tc := range cases {
+		if got := Recall(tc.got, tc.want); got != tc.recall {
+			t.Errorf("Recall(%v, %v) = %v, want %v", tc.got, tc.want, got, tc.recall)
+		}
+	}
+}

@@ -211,11 +211,7 @@ func PointQuery(cfg Config) (*Result, error) {
 	queries := make([]PlacedQuery, cfg.Queries)
 	for i := range queries {
 		e := events[pickSrc.Intn(len(events))].Event
-		ranges := make([]event.Range, len(e.Values))
-		for j, v := range e.Values {
-			ranges[j] = event.PointRange(v)
-		}
-		queries[i] = PlacedQuery{Sink: sinkSrc.Intn(cfg.PartialSize), Query: event.NewQuery(ranges...)}
+		queries[i] = PlacedQuery{Sink: sinkSrc.Intn(cfg.PartialSize), Query: event.PointQuery(e)}
 	}
 
 	cost := func(net *network.Network, run func(pq PlacedQuery) error) (float64, error) {

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"time"
 
+	"pooldcs/internal/deploy"
 	"pooldcs/internal/event"
 	"pooldcs/internal/field"
-	"pooldcs/internal/gpsr"
 	"pooldcs/internal/network"
 	"pooldcs/internal/node"
 	"pooldcs/internal/rng"
@@ -29,11 +29,10 @@ func AsyncLatency(cfg Config) (*Result, error) {
 	table := texttable.New(title, "Workload", "mean", "p50", "p95", "max")
 
 	src := rng.New(cfg.Seed + 9995)
-	layout, err := field.Generate(field.DefaultSpec(cfg.PartialSize), src.Fork("layout"))
+	layout, router, err := deploy.Substrate(field.DefaultSpec(cfg.PartialSize), src)
 	if err != nil {
 		return nil, err
 	}
-	router := gpsr.New(layout)
 	sched := sim.NewScheduler()
 	net := network.New(layout)
 	eng, err := node.NewEngine(net, router, sched, cfg.Dims, src.Fork("pivots"), nil)

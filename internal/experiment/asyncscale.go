@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"time"
 
+	"pooldcs/internal/deploy"
 	"pooldcs/internal/event"
 	"pooldcs/internal/field"
-	"pooldcs/internal/gpsr"
 	"pooldcs/internal/network"
 	"pooldcs/internal/node"
 	"pooldcs/internal/rng"
@@ -40,11 +40,10 @@ func AsyncScale(cfg Config, sizes []int) (*Result, error) {
 	rows, err := forEach(cfg.parallel(), len(sizes), func(i int) (row, error) {
 		n := sizes[i]
 		src := rng.New(cfg.Seed + 9996 + int64(n))
-		layout, err := field.Generate(field.DefaultSpec(n), src.Fork("layout"))
+		layout, router, err := deploy.Substrate(field.DefaultSpec(n), src)
 		if err != nil {
 			return row{}, err
 		}
-		router := gpsr.New(layout)
 		sched := sim.NewScheduler()
 		net := network.New(layout)
 		eng, err := node.NewEngine(net, router, sched, cfg.Dims, src.Fork("pivots"), nil)

@@ -8,13 +8,11 @@ import (
 	"pooldcs/internal/attrib"
 	"pooldcs/internal/chaos"
 	"pooldcs/internal/dcs"
-	"pooldcs/internal/dim"
+	"pooldcs/internal/deploy"
 	"pooldcs/internal/discovery"
 	"pooldcs/internal/event"
 	"pooldcs/internal/field"
 	"pooldcs/internal/geo"
-	"pooldcs/internal/ght"
-	"pooldcs/internal/gpsr"
 	"pooldcs/internal/metrics"
 	"pooldcs/internal/network"
 	"pooldcs/internal/node"
@@ -55,18 +53,11 @@ const churnServiceTime = 2 * time.Millisecond
 // need a probe stream dense enough to land queries inside them.
 const churnProbePeriod = 250 * time.Millisecond
 
-// churnUniverse is one system under churn: its own radio, router, and
-// beacon protocol (so per-system traffic stays separable) plus the
-// per-query accumulators.
+// churnUniverse is one system under churn: a deploy.Universe (its own
+// radio, router, beacon protocol and registry, so per-system traffic
+// stays separable) plus the per-query accumulators.
 type churnUniverse struct {
-	net    *network.Network
-	router *gpsr.Router
-	sys    interface {
-		QueryWithReport(sink int, q event.Query) ([]event.Event, dcs.Completeness, error)
-	}
-	disc   *discovery.Protocol
-	engine *chaos.Engine
-	reg    *metrics.Registry
+	*deploy.Universe
 
 	// kick, when set, is invoked by the chaos engine's recovery hook so a
 	// rejoining node triggers an immediate anti-entropy round.
@@ -129,34 +120,22 @@ func Churn(cfg Config, churnPcts []int) (*Result, error) {
 		pct := churnPcts[pcti]
 		n := cfg.PartialSize
 		src := rng.New(cfg.Seed + 9900 + int64(pct))
-		layout, err := field.Generate(field.DefaultSpec(n), src.Fork("layout"))
+		layout, err := deploy.Layout(field.DefaultSpec(n), src)
 		if err != nil {
 			return nil, err
 		}
 		sched := sim.NewScheduler()
 
-		build := func(name string, bsrc *rng.Source, mk func(net *network.Network, router *gpsr.Router, reg *metrics.Registry) (chaos.System, error)) (*churnUniverse, error) {
-			reg := metrics.New()
-			net := network.New(layout, network.WithMetrics(reg))
-			router := gpsr.New(layout)
-			sys, err := mk(net, router, reg)
+		// build stands one registry backend up as a churn universe. Its
+		// system draws from sysSrc (nil for the unseeded DIM and GHT),
+		// its beacons from bsrc's "beacons-<name>" stream.
+		build := func(name, backend string, sysSrc, bsrc *rng.Source) (*churnUniverse, error) {
+			du, err := deploy.NewUniverse(layout, sched, backend, cfg.Dims, sysSrc, metrics.New())
 			if err != nil {
 				return nil, err
 			}
-			u := &churnUniverse{net: net, router: router, reg: reg}
-			// The actor engine answers asynchronously and is queried
-			// through its own callback path below; every synchronous
-			// system exposes the blocking surface.
-			if qs, ok := sys.(interface {
-				QueryWithReport(sink int, q event.Query) ([]event.Event, dcs.Completeness, error)
-			}); ok {
-				u.sys = qs
-			}
-			u.disc = discovery.New(net, sched, bsrc.Fork("beacons-"+name),
-				discovery.Config{Interval: churnBeaconInterval})
-			u.disc.EnableMetrics(reg)
-			u.engine = chaos.NewEngine(sched, net, router, []chaos.System{sys},
-				chaos.WithFailureDetection(u.disc), chaos.WithMetrics(reg),
+			u := &churnUniverse{Universe: du}
+			u.Detect(bsrc.Fork("beacons-"+name), discovery.Config{Interval: churnBeaconInterval},
 				chaos.WithRecoveryHook(func(int) {
 					if u.kick != nil {
 						u.kick()
@@ -164,27 +143,19 @@ func Churn(cfg Config, churnPcts []int) (*Result, error) {
 				}))
 			return u, nil
 		}
-		plain, err := build("plain", src, func(net *network.Network, router *gpsr.Router, reg *metrics.Registry) (chaos.System, error) {
-			return pool.New(net, router, cfg.Dims, src.Fork("pivots-plain"), pool.WithMetrics(reg))
-		})
+		plain, err := build("plain", "pool", src.Fork("pivots-plain"), src)
 		if err != nil {
 			return nil, err
 		}
-		repl, err := build("repl", src, func(net *network.Network, router *gpsr.Router, reg *metrics.Registry) (chaos.System, error) {
-			return pool.New(net, router, cfg.Dims, src.Fork("pivots-repl"), pool.WithReplication(), pool.WithMetrics(reg))
-		})
+		repl, err := build("repl", "pool+repl", src.Fork("pivots-repl"), src)
 		if err != nil {
 			return nil, err
 		}
-		dimU, err := build("dim", src, func(net *network.Network, router *gpsr.Router, reg *metrics.Registry) (chaos.System, error) {
-			return dim.New(net, router, cfg.Dims, dim.WithMetrics(reg))
-		})
+		dimU, err := build("dim", "dim", nil, src)
 		if err != nil {
 			return nil, err
 		}
-		ghtU, err := build("ght", src, func(net *network.Network, router *gpsr.Router, reg *metrics.Registry) (chaos.System, error) {
-			return ght.New(net, router, ght.WithMetrics(reg)), nil
-		})
+		ghtU, err := build("ght", "ght", nil, src)
 		if err != nil {
 			return nil, err
 		}
@@ -192,9 +163,7 @@ func Churn(cfg Config, churnPcts []int) (*Result, error) {
 		// the four established universes reproduce their exact pre-existing
 		// streams (Fork consumes from the parent sequence).
 		snapSrc := rng.New(cfg.Seed + 99_000 + int64(pct))
-		snap, err := build("snap", snapSrc, func(net *network.Network, router *gpsr.Router, reg *metrics.Registry) (chaos.System, error) {
-			return pool.New(net, router, cfg.Dims, snapSrc.Fork("pivots-snap"), pool.WithReplication(), pool.WithMetrics(reg))
-		})
+		snap, err := build("snap", "pool+repl", snapSrc.Fork("pivots-snap"), snapSrc)
 		if err != nil {
 			return nil, err
 		}
@@ -202,20 +171,12 @@ func Churn(cfg Config, churnPcts []int) (*Result, error) {
 		// Message-driven repair plus a per-packet service time: restore
 		// transfers queue behind (and ahead of) live query traffic.
 		nodeSrc := rng.New(cfg.Seed + 995_000 + int64(pct))
-		var nodeEng *node.Engine
-		nodeU, err := build("node", nodeSrc, func(net *network.Network, router *gpsr.Router, reg *metrics.Registry) (chaos.System, error) {
-			eng, err := node.NewEngine(net, router, sched, cfg.Dims, nodeSrc.Fork("pivots-node"), nil, node.WithReplication())
-			if err != nil {
-				return nil, err
-			}
-			eng.EnableService(churnServiceTime)
-			eng.EnableMetrics(reg)
-			nodeEng = eng
-			return eng, nil
-		})
+		nodeU, err := build("node", "node+repair", nodeSrc.Fork("pivots-node"), nodeSrc)
 		if err != nil {
 			return nil, err
 		}
+		nodeEng := nodeU.Sys.(*node.Sync).Engine()
+		nodeEng.EnableService(churnServiceTime)
 		// Flight recorder: a bounded event ring over the actor universe's
 		// spans and hop records. The attribution columns decompose the
 		// probe latencies recorded here; the ring caps trace memory no
@@ -228,34 +189,25 @@ func Churn(cfg Config, churnPcts []int) (*Result, error) {
 		// Background anti-entropy: rateless sessions repair the queried
 		// replicated universe; the unqueried snapshot universe pays the
 		// naive full-transfer cost for the same fault plan.
-		recAE := antientropy.New(sched, repl.net, repl.router,
-			antientropy.Config{Period: cfg.RepairPeriod}, repl.sys.(*pool.System))
-		recAE.EnableMetrics(repl.reg)
+		recAE := antientropy.New(sched, repl.Net, repl.Router,
+			antientropy.Config{Period: cfg.RepairPeriod}, repl.Sys.(*pool.System))
+		recAE.EnableMetrics(repl.Metrics)
 		repl.kick = recAE.Kick
-		recSnap := antientropy.New(sched, snap.net, snap.router,
-			antientropy.Config{Period: cfg.RepairPeriod, Snapshot: true}, snap.sys.(*pool.System))
-		recSnap.EnableMetrics(snap.reg)
+		recSnap := antientropy.New(sched, snap.Net, snap.Router,
+			antientropy.Config{Period: cfg.RepairPeriod, Snapshot: true}, snap.Sys.(*pool.System))
+		recSnap.EnableMetrics(snap.Metrics)
 		snap.kick = recSnap.Kick
 
 		// Load every universe identically, then forget the insert traffic.
 		placed := GenerateEvents(layout, cfg.EventsPerNode, workload.NewUniformEvents(src.Fork("events"), cfg.Dims))
 		all := make([]event.Event, len(placed))
+		synchronous := []*churnUniverse{plain, repl, dimU, ghtU, snap}
 		for i, pe := range placed {
 			all[i] = pe.Event
-			if err := plain.sys.(*pool.System).Insert(pe.Origin, pe.Event); err != nil {
-				return nil, err
-			}
-			if err := repl.sys.(*pool.System).Insert(pe.Origin, pe.Event); err != nil {
-				return nil, err
-			}
-			if err := dimU.sys.(*dim.System).Insert(pe.Origin, pe.Event); err != nil {
-				return nil, err
-			}
-			if err := ghtU.sys.(*ght.System).Insert(pe.Origin, pe.Event); err != nil {
-				return nil, err
-			}
-			if err := snap.sys.(*pool.System).Insert(pe.Origin, pe.Event); err != nil {
-				return nil, err
+			for _, u := range synchronous {
+				if err := u.Sys.Insert(pe.Origin, pe.Event); err != nil {
+					return nil, err
+				}
 			}
 			if err := nodeEng.Preload(pe.Origin, pe.Event); err != nil {
 				return nil, err
@@ -287,7 +239,7 @@ func Churn(cfg Config, churnPcts []int) (*Result, error) {
 			plan.Burst(at, geo.RectFromCorners(geo.Pt(cx-r, cy-r), geo.Pt(cx+r, cy+r)), burstLossRate, churnHorizon/10)
 		}
 		for _, u := range all6 {
-			if err := u.engine.Schedule(plan); err != nil {
+			if err := u.Engine.Schedule(plan); err != nil {
 				return nil, err
 			}
 		}
@@ -302,11 +254,11 @@ func Churn(cfg Config, churnPcts []int) (*Result, error) {
 			at := time.Duration(qsrc.Float64() * float64(churnHorizon))
 			sink := qsrc.Intn(n)
 			q := qgen.ExactMatch(workload.UniformSizes)
-			pq := pointQueryFor(all[gsrc.Intn(len(all))])
+			pq := event.PointQuery(all[gsrc.Intn(len(all))])
 			if err := sched.At(at, func() {
 				// The scheduled sink may have died by now: a real user
 				// would issue from a live gateway.
-				for plain.engine.Down(sink) {
+				for plain.Engine.Down(sink) {
 					sink = (sink + 1) % n
 				}
 				oracle := q.Rewrite().Filter(all)
@@ -316,15 +268,15 @@ func Churn(cfg Config, churnPcts []int) (*Result, error) {
 						uq = pq
 						uOracle = pq.Rewrite().Filter(all)
 					}
-					before := u.net.Snapshot()
-					got, comp, err := u.sys.QueryWithReport(sink, uq)
+					before := u.Net.Snapshot()
+					got, comp, err := u.Sys.QueryWithReport(sink, uq)
 					if err != nil && queryErr == nil {
 						queryErr = fmt.Errorf("churn %d%% query at %v: %w", pct, at, err)
 						return
 					}
-					d := u.net.Diff(before)
+					d := u.Net.Diff(before)
 					u.msgs += d.Messages[network.KindQuery] + d.Messages[network.KindReply]
-					u.sumRecall += recallOf(got, uOracle)
+					u.sumRecall += event.Recall(got, uOracle)
 					u.sumComp += comp.Fraction()
 				}
 			}); err != nil {
@@ -348,7 +300,7 @@ func Churn(cfg Config, churnPcts []int) (*Result, error) {
 			sink := psrc.Intn(n)
 			q := pgen.ExactMatch(workload.UniformSizes)
 			if err := sched.At(at, func() {
-				for nodeU.engine.Down(sink) {
+				for nodeU.Engine.Down(sink) {
 					sink = (sink + 1) % n
 				}
 				oracle := q.Rewrite().Filter(all)
@@ -358,9 +310,9 @@ func Churn(cfg Config, churnPcts []int) (*Result, error) {
 				// and restore transfers converge — because those are the
 				// queries whose exchanges pay the failure detection, the
 				// mirror fallback, and the transfer contention.
-				degraded := nodeEng.QueryDegraded(q, nodeU.engine.Down)
+				degraded := nodeEng.QueryDegraded(q, nodeU.Engine.Down)
 				err := nodeEng.QueryWithReport(sink, q, func(got []event.Event, comp dcs.Completeness, elapsed time.Duration) {
-					nodeU.sumRecall += recallOf(got, oracle)
+					nodeU.sumRecall += event.Recall(got, oracle)
 					nodeU.sumComp += comp.Fraction()
 					nodeDone++
 					if degraded {
@@ -379,13 +331,13 @@ func Churn(cfg Config, churnPcts []int) (*Result, error) {
 		// Beacons and reconcilers reschedule themselves forever; end every
 		// protocol at the horizon so the event queue drains.
 		for _, u := range all6 {
-			u.disc.Start()
+			u.Detector.Start()
 		}
 		recAE.Start()
 		recSnap.Start()
 		if err := sched.At(churnHorizon, func() {
 			for _, u := range all6 {
-				u.disc.Stop()
+				u.Detector.Stop()
 			}
 			recAE.Stop()
 			recSnap.Stop()
@@ -406,12 +358,12 @@ func Churn(cfg Config, churnPcts []int) (*Result, error) {
 		// Detect columns describe the systems the table compares.
 		detect := stats.NewIntHistogram()
 		for _, u := range all6 {
-			for _, err := range u.engine.Errs() {
+			for _, err := range u.Engine.Errs() {
 				return nil, fmt.Errorf("churn %d%%: %w", pct, err)
 			}
 		}
 		for _, u := range universes {
-			detect.Merge(u.engine.DetectionLatency())
+			detect.Merge(u.Engine.DetectionLatency())
 		}
 		for _, err := range recAE.Errs() {
 			return nil, fmt.Errorf("churn %d%% rateless repair: %w", pct, err)
@@ -434,7 +386,7 @@ func Churn(cfg Config, churnPcts []int) (*Result, error) {
 		// the exposition endpoint serves).
 		var drops float64
 		for _, u := range universes {
-			drops += u.reg.Value("net_dropped_frames_total")
+			drops += u.Metrics.Value("net_dropped_frames_total")
 		}
 		row = append(row,
 			texttable.Int(int(detect.Quantile(50))),
@@ -515,32 +467,4 @@ func attributionShares(tr *trace.Tracer) []string {
 		pct(attrib.PhaseRepair),
 		pct(attrib.PhaseMerge, attrib.PhaseOther),
 	}
-}
-
-// pointQueryFor builds the exact-match query addressing one event's key.
-func pointQueryFor(e event.Event) event.Query {
-	rs := make([]event.Range, len(e.Values))
-	for i, v := range e.Values {
-		rs[i] = event.PointRange(v)
-	}
-	return event.NewQuery(rs...)
-}
-
-// recallOf returns |got ∩ oracle| / |oracle|, 1.0 when the oracle is
-// empty (nothing to miss).
-func recallOf(got, oracle []event.Event) float64 {
-	if len(oracle) == 0 {
-		return 1
-	}
-	want := make(map[uint64]bool, len(oracle))
-	for _, e := range oracle {
-		want[e.Seq] = true
-	}
-	hit := 0
-	for _, e := range got {
-		if want[e.Seq] {
-			hit++
-		}
-	}
-	return float64(hit) / float64(len(oracle))
 }

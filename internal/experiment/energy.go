@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"pooldcs/internal/event"
+	"pooldcs/internal/field"
 	"pooldcs/internal/metrics"
 	"pooldcs/internal/network"
 	"pooldcs/internal/pool"
@@ -26,7 +27,7 @@ func Energy(cfg Config) (*Result, error) {
 
 	src := rng.New(cfg.Seed + 9500)
 	poolReg, dimReg := metrics.New(), metrics.New()
-	env, err := NewInstrumentedEnv(cfg.PartialSize, cfg.Dims, src, poolReg, dimReg)
+	env, err := newEnv(field.DefaultSpec(cfg.PartialSize), cfg.Dims, src, poolReg, dimReg)
 	if err != nil {
 		return nil, err
 	}

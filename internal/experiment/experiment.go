@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"pooldcs/internal/dcs"
+	"pooldcs/internal/deploy"
 	"pooldcs/internal/dim"
 	"pooldcs/internal/event"
 	"pooldcs/internal/field"
@@ -136,20 +137,20 @@ type Env struct {
 
 // NewEnv builds a connected deployment of n nodes and both systems.
 func NewEnv(n, dims int, src *rng.Source, poolOpts ...pool.Option) (*Env, error) {
-	return NewInstrumentedEnv(n, dims, src, nil, nil, poolOpts...)
+	return newEnv(field.DefaultSpec(n), dims, src, nil, nil, poolOpts...)
 }
 
-// NewInstrumentedEnv is NewEnv with a metrics registry attached to each
-// system and its network (nil registries attach nothing). Experiments
-// that report per-node aggregates read them back through the same
-// registry families the monitoring surface exports, so the tables and
-// the exports cannot drift apart.
-func NewInstrumentedEnv(n, dims int, src *rng.Source, poolReg, dimReg *metrics.Registry, poolOpts ...pool.Option) (*Env, error) {
-	layout, err := field.Generate(field.DefaultSpec(n), src.Fork("layout"))
+// newEnv builds both systems over the deployment spec describes, with a
+// metrics registry attached to each system and its network (nil
+// registries attach nothing). Experiments that report per-node
+// aggregates read them back through the same registry families the
+// monitoring surface exports, so the tables and the exports cannot drift
+// apart.
+func newEnv(spec field.Spec, dims int, src *rng.Source, poolReg, dimReg *metrics.Registry, poolOpts ...pool.Option) (*Env, error) {
+	layout, router, err := deploy.Substrate(spec, src)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: %w", err)
 	}
-	router := gpsr.New(layout)
 	poolNet := network.New(layout, network.WithMetrics(poolReg))
 	dimNet := network.New(layout, network.WithMetrics(dimReg))
 	popts := append([]pool.Option{pool.WithMetrics(poolReg)}, poolOpts...)

@@ -4,9 +4,9 @@ import (
 	"fmt"
 
 	"pooldcs/internal/dcs"
+	"pooldcs/internal/deploy"
 	"pooldcs/internal/dim"
 	"pooldcs/internal/field"
-	"pooldcs/internal/gpsr"
 	"pooldcs/internal/metrics"
 	"pooldcs/internal/network"
 	"pooldcs/internal/pool"
@@ -40,11 +40,10 @@ func LoadBalance(cfg Config) (*Result, error) {
 		"Tx Gini", "Tx CoV", "Tx max")
 
 	src := rng.New(cfg.Seed + 9700)
-	layout, err := field.Generate(field.DefaultSpec(cfg.PartialSize), src.Fork("layout"))
+	layout, router, err := deploy.Substrate(field.DefaultSpec(cfg.PartialSize), src)
 	if err != nil {
 		return nil, err
 	}
-	router := gpsr.New(layout)
 
 	// One universe per system: its own radio and registry so the vectors
 	// stay separable, all over the same deployment.

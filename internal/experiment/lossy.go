@@ -3,9 +3,9 @@ package experiment
 import (
 	"fmt"
 
+	"pooldcs/internal/deploy"
 	"pooldcs/internal/dim"
 	"pooldcs/internal/field"
-	"pooldcs/internal/gpsr"
 	"pooldcs/internal/network"
 	"pooldcs/internal/pool"
 	"pooldcs/internal/rng"
@@ -28,11 +28,10 @@ func Lossy(cfg Config, rates []float64) (*Result, error) {
 	rows, err := forEach(cfg.parallel(), len(rates), func(i int) ([2]float64, error) {
 		p := rates[i]
 		src := rng.New(cfg.Seed + 9970) // same deployment for every rate
-		layout, err := field.Generate(field.DefaultSpec(cfg.PartialSize), src.Fork("layout"))
+		layout, router, err := deploy.Substrate(field.DefaultSpec(cfg.PartialSize), src)
 		if err != nil {
 			return [2]float64{}, err
 		}
-		router := gpsr.New(layout)
 		// Fork unconditionally: rng.Fork advances the parent stream, so a
 		// conditional fork would shift every later seed and make the rows
 		// incomparable.

@@ -3,11 +3,8 @@ package experiment
 import (
 	"fmt"
 
-	"pooldcs/internal/dim"
 	"pooldcs/internal/field"
-	"pooldcs/internal/gpsr"
 	"pooldcs/internal/network"
-	"pooldcs/internal/pool"
 	"pooldcs/internal/rng"
 	"pooldcs/internal/texttable"
 	"pooldcs/internal/workload"
@@ -23,45 +20,29 @@ func Placement(cfg Config) (*Result, error) {
 	title := fmt.Sprintf("Placement sensitivity, N=%d (exponential range sizes)", cfg.PartialSize)
 	table := texttable.New(title, "Placement", "DIM msgs/query", "Pool msgs/query", "DIM ins/evt", "Pool ins/evt")
 
-	type variant struct {
+	clustered := field.DefaultSpec(cfg.PartialSize)
+	clustered.Clusters, clustered.ClusterSpread = 5, 0.12
+	variants := []struct {
 		name string
-		gen  func(src *rng.Source) (*field.Layout, error)
-	}
-	variants := []variant{
-		{"uniform", func(src *rng.Source) (*field.Layout, error) {
-			return field.Generate(field.DefaultSpec(cfg.PartialSize), src)
-		}},
-		{"clustered", func(src *rng.Source) (*field.Layout, error) {
-			return field.GenerateClustered(field.DefaultSpec(cfg.PartialSize), 5, 0.12, src)
-		}},
+		spec field.Spec
+	}{
+		{"uniform", field.DefaultSpec(cfg.PartialSize)},
+		{"clustered", clustered},
 	}
 
 	rows, err := forEach(cfg.parallel(), len(variants), func(vi int) ([4]float64, error) {
 		v := variants[vi]
 		src := rng.New(cfg.Seed + 9950)
-		layout, err := v.gen(src.Fork("layout"))
+		env, err := newEnv(v.spec, cfg.Dims, src, nil, nil)
 		if err != nil {
 			return [4]float64{}, fmt.Errorf("%s: %w", v.name, err)
 		}
-		router := gpsr.New(layout)
-		poolNet := network.New(layout)
-		dimNet := network.New(layout)
-		p, err := pool.New(poolNet, router, cfg.Dims, src.Fork("pivots"))
-		if err != nil {
-			return [4]float64{}, err
-		}
-		d, err := dim.New(dimNet, router, cfg.Dims)
-		if err != nil {
-			return [4]float64{}, err
-		}
-		env := &Env{Layout: layout, Router: router, PoolNet: poolNet, DIMNet: dimNet, Pool: p, DIM: d}
-
-		events := GenerateEvents(layout, cfg.EventsPerNode, workload.NewUniformEvents(src.Fork("events"), cfg.Dims))
+		events := GenerateEvents(env.Layout, cfg.EventsPerNode, workload.NewUniformEvents(src.Fork("events"), cfg.Dims))
 		if err := env.InsertAll(events); err != nil {
 			return [4]float64{}, fmt.Errorf("%s: %w", v.name, err)
 		}
-		dimIns := float64(dimNet.Messages(network.KindInsert)) / float64(len(events))
-		poolIns := float64(poolNet.Messages(network.KindInsert)) / float64(len(events))
+		dimIns := float64(env.DIMNet.Messages(network.KindInsert)) / float64(len(events))
+		poolIns := float64(env.PoolNet.Messages(network.KindInsert)) / float64(len(events))
 
 		qgen := workload.NewQueries(src.Fork("queries"), cfg.Dims)
 		sinkSrc := src.Fork("sinks")

@@ -3,9 +3,9 @@ package experiment
 import (
 	"fmt"
 
+	"pooldcs/internal/deploy"
 	"pooldcs/internal/event"
 	"pooldcs/internal/field"
-	"pooldcs/internal/gpsr"
 	"pooldcs/internal/network"
 	"pooldcs/internal/node"
 	"pooldcs/internal/pool"
@@ -117,9 +117,9 @@ func Resilience(cfg Config, failPcts []int) (*Result, error) {
 // scheduler, so the reported recall is the post-convergence state; the
 // repair columns price what convergence cost.
 func resilienceNode(cfg Config, failPcts []int) (*Result, error) {
-	mode := "unreplicated"
+	mode, backend := "unreplicated", "node"
 	if cfg.Repair {
-		mode = "mirrored, message-driven restore"
+		mode, backend = "mirrored, message-driven restore", "node+repair"
 	}
 	title := fmt.Sprintf("Query recall under node failures, N=%d (actor backend, %s)", cfg.PartialSize, mode)
 	table := texttable.New(title, "Failed%", "Recall", "Compl", "Repair msgs", "Rep p95 ms")
@@ -132,22 +132,16 @@ func resilienceNode(cfg Config, failPcts []int) (*Result, error) {
 	rows, err := forEach(cfg.parallel(), len(failPcts), func(i int) (row, error) {
 		pct := failPcts[i]
 		src := rng.New(cfg.Seed + 9800 + int64(pct))
-		layout, err := field.Generate(field.DefaultSpec(cfg.PartialSize), src.Fork("layout"))
+		layout, err := deploy.Layout(field.DefaultSpec(cfg.PartialSize), src)
 		if err != nil {
 			return row{}, err
 		}
-		sched := sim.NewScheduler()
-		net := network.New(layout)
-		router := gpsr.New(layout)
-		var opts []node.Option
-		if cfg.Repair {
-			opts = append(opts, node.WithReplication())
-		}
-		eng, err := node.NewEngine(net, router, sched, cfg.Dims, src.Fork("pivots"), nil, opts...)
+		u, err := deploy.NewUniverse(layout, sim.NewScheduler(), backend, cfg.Dims, src.Fork("pivots"), nil)
 		if err != nil {
 			return row{}, err
 		}
-		sys := node.NewSync("node", eng, sched)
+		sys := u.Sys.(*node.Sync)
+		eng := sys.Engine()
 
 		events := GenerateEvents(layout, cfg.EventsPerNode, workload.NewUniformEvents(src.Fork("events"), cfg.Dims))
 		for _, pe := range events {
@@ -165,8 +159,8 @@ func resilienceNode(cfg Config, failPcts []int) (*Result, error) {
 				continue
 			}
 			killed[v] = true
-			router.Exclude(v)
-			net.FailNode(v)
+			u.Router.Exclude(v)
+			u.Net.FailNode(v)
 			if err := sys.FailNode(v); err != nil {
 				return row{}, err
 			}

@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"pooldcs/internal/dcs"
-	"pooldcs/internal/dim"
+	"pooldcs/internal/deploy"
 	"pooldcs/internal/event"
 	"pooldcs/internal/field"
 	"pooldcs/internal/gpsr"
@@ -28,7 +28,9 @@ type TraceOptions struct {
 	// System selects the traced scheme: "pool" or "dim" (synchronous
 	// replays, clock pinned at zero) or "node" (the actor engine on real
 	// virtual time, the mode whose traces carry durations the autopsy
-	// can decompose).
+	// can decompose). The traced actor engine always runs
+	// message-driven repair, so "node" traces the deploy registry's
+	// "node+repair" flavour.
 	System string
 	// Seed drives every random choice; identical options reproduce
 	// identical traces.
@@ -87,34 +89,38 @@ func TraceRun(o TraceOptions) (*TraceResult, error) {
 	if o.System == "node" && o.Subscriptions > 0 {
 		return nil, fmt.Errorf("experiment: subscriptions are Pool-only")
 	}
-	src := rng.New(o.Seed)
-	layout, err := field.Generate(field.DefaultSpec(o.Nodes), src.Fork("layout"))
+	name := o.System
+	if name == "node" {
+		name = "node+repair"
+	}
+	b, err := deploy.Lookup(name)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: %w", err)
 	}
-	router := gpsr.New(layout)
+	src := rng.New(o.Seed)
+	layout, router, err := deploy.Substrate(field.DefaultSpec(o.Nodes), src)
+	if err != nil {
+		return nil, fmt.Errorf("experiment: %w", err)
+	}
 	// The scheduler is the trace clock; synchronous replays never run it,
 	// so span order and hop counts carry the causality instead, while the
 	// node mode advances it for real and stamps durations.
 	sched := sim.NewScheduler()
 	tr := trace.New(sched)
 	net := network.New(layout, network.WithTracer(tr))
-	if o.System == "node" {
-		return traceNodeRun(o, src, layout, router, tr, net, sched)
+	d := deploy.Deps{Net: net, Router: router, Sched: sched, Dims: o.Dims, Tracer: tr}
+	if b.Seeded {
+		d.Src = src.Fork("pivots")
 	}
-
-	var sys dcs.System
-	var poolSys *pool.System
-	switch o.System {
-	case "pool":
-		poolSys, err = pool.New(net, router, o.Dims, src.Fork("pivots"), pool.WithTracer(tr))
-		sys = poolSys
-	case "dim":
-		sys, err = dim.New(net, router, o.Dims, dim.WithTracer(tr))
-	}
+	sut, err := b.New(d)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: %w", err)
 	}
+	if actor, ok := sut.(*node.Sync); ok {
+		return traceNodeRun(o, src, layout, router, tr, net, sched, actor.Engine())
+	}
+	sys := sut.(dcs.System)
+	poolSys, _ := sut.(*pool.System)
 
 	gen := workload.NewUniformEvents(src.Fork("events"), o.Dims)
 	for n := 0; n < layout.N(); n++ {
@@ -187,12 +193,7 @@ func TraceRun(o TraceOptions) (*TraceResult, error) {
 // stalls, queueing, retry detours, repair interference — which is what
 // the autopsy subcommand decomposes.
 func traceNodeRun(o TraceOptions, src *rng.Source, layout *field.Layout, router *gpsr.Router,
-	tr *trace.Tracer, net *network.Network, sched *sim.Scheduler) (*TraceResult, error) {
-	eng, err := node.NewEngine(net, router, sched, o.Dims, src.Fork("pivots"), nil,
-		node.WithReplication(), node.WithTracer(tr))
-	if err != nil {
-		return nil, fmt.Errorf("experiment: %w", err)
-	}
+	tr *trace.Tracer, net *network.Network, sched *sim.Scheduler, eng *node.Engine) (*TraceResult, error) {
 	eng.EnableService(churnServiceTime)
 
 	gen := workload.NewUniformEvents(src.Fork("events"), o.Dims)

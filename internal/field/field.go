@@ -27,6 +27,13 @@ type Spec struct {
 	// AvgNeighbors is the target mean number of nodes within radio range
 	// of each node (paper: 20). It determines the field side length.
 	AvgNeighbors float64
+	// Clusters, when positive, places the nodes in that many Gaussian
+	// clusters instead of uniformly; zero keeps the paper's uniform
+	// placement.
+	Clusters int
+	// ClusterSpread is the clusters' standard deviation as a fraction of
+	// the field side (used only when Clusters is positive).
+	ClusterSpread float64
 }
 
 // DefaultSpec returns the paper's §5.1 deployment parameters for n nodes.
@@ -51,6 +58,12 @@ func (s Spec) Validate() error {
 	if s.AvgNeighbors <= 0 {
 		return fmt.Errorf("field: average neighbours must be positive, got %v", s.AvgNeighbors)
 	}
+	if s.Clusters < 0 {
+		return fmt.Errorf("field: cluster count must not be negative, got %d", s.Clusters)
+	}
+	if s.Clusters > 0 && s.ClusterSpread <= 0 {
+		return fmt.Errorf("field: cluster spread must be positive, got %v", s.ClusterSpread)
+	}
 	return nil
 }
 
@@ -73,22 +86,28 @@ type Layout struct {
 // generated within the attempt budget.
 var ErrDisconnected = errors.New("field: could not generate a connected deployment")
 
-// Generate places nodes uniformly at random per spec, retrying until the
-// induced unit-disc graph is connected (at the paper's density this almost
-// always succeeds on the first try). It fails with ErrDisconnected after 50
-// attempts.
+// Generate places nodes per spec, retrying until the induced unit-disc
+// graph is connected. Uniform placement (at the paper's density this
+// almost always succeeds on the first try) fails with ErrDisconnected
+// after 50 attempts.
+//
+// With spec.Clusters positive the nodes land in Gaussian clusters
+// instead: cluster centres are drawn uniformly, and each node lands near
+// a random centre with spread spec.ClusterSpread (as a fraction of the
+// field side). Clustered deployments stress the paper's dense-uniform
+// assumption — grid cells in the gaps have no nearby sensors — and get
+// 200 attempts.
 func Generate(spec Spec, src *rng.Source) (*Layout, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	side := spec.Side()
-	const maxAttempts = 50
+	place, maxAttempts := uniform, 50
+	if spec.Clusters > 0 {
+		place, maxAttempts = clustered, 200
+	}
 	for attempt := 0; attempt < maxAttempts; attempt++ {
-		pts := make([]geo.Point, spec.Nodes)
-		for i := range pts {
-			pts[i] = geo.Pt(src.Uniform(0, side), src.Uniform(0, side))
-		}
-		l := &Layout{Spec: spec, Side: side, Positions: pts}
+		l := &Layout{Spec: spec, Side: side, Positions: place(spec, side, src)}
 		l.index()
 		if l.Connected() {
 			return l, nil
@@ -97,57 +116,42 @@ func Generate(spec Spec, src *rng.Source) (*Layout, error) {
 	return nil, ErrDisconnected
 }
 
-// GenerateClustered places nodes in Gaussian clusters instead of
-// uniformly: cluster centres are drawn uniformly, and each node lands
-// near a random centre with the given spread (as a fraction of the field
-// side), clamped into the field. Clustered deployments stress the
-// paper's dense-uniform assumption — grid cells in the gaps have no
-// nearby sensors. Like Generate, it retries until the deployment is
-// connected.
-func GenerateClustered(spec Spec, clusters int, spread float64, src *rng.Source) (*Layout, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
+// uniform draws one uniform placement.
+func uniform(spec Spec, side float64, src *rng.Source) []geo.Point {
+	pts := make([]geo.Point, spec.Nodes)
+	for i := range pts {
+		pts[i] = geo.Pt(src.Uniform(0, side), src.Uniform(0, side))
 	}
-	if clusters < 1 {
-		return nil, fmt.Errorf("field: need at least 1 cluster, got %d", clusters)
+	return pts
+}
+
+// clustered draws one Gaussian-cluster placement.
+func clustered(spec Spec, side float64, src *rng.Source) []geo.Point {
+	centers := make([]geo.Point, spec.Clusters)
+	for i := range centers {
+		centers[i] = geo.Pt(src.Uniform(0, side), src.Uniform(0, side))
 	}
-	if spread <= 0 {
-		return nil, fmt.Errorf("field: cluster spread must be positive, got %v", spread)
-	}
-	side := spec.Side()
-	const maxAttempts = 200
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		centers := make([]geo.Point, clusters)
-		for i := range centers {
-			centers[i] = geo.Pt(src.Uniform(0, side), src.Uniform(0, side))
-		}
-		pts := make([]geo.Point, spec.Nodes)
-		for i := range pts {
-			c := centers[src.Intn(clusters)]
-			// Rejection-sample into the field: clamping would pile nodes
-			// onto identical border coordinates, which breaks the
-			// distinct-position assumption downstream (routing, k-d
-			// splits).
-			placed := false
-			for draw := 0; draw < 100; draw++ {
-				p := geo.Pt(src.Normal(c.X, spread*side), src.Normal(c.Y, spread*side))
-				if p.X >= 0 && p.X < side && p.Y >= 0 && p.Y < side {
-					pts[i] = p
-					placed = true
-					break
-				}
-			}
-			if !placed {
-				pts[i] = geo.Pt(src.Uniform(0, side), src.Uniform(0, side))
+	spread := spec.ClusterSpread * side
+	pts := make([]geo.Point, spec.Nodes)
+	for i := range pts {
+		c := centers[src.Intn(spec.Clusters)]
+		// Rejection-sample into the field: clamping would pile nodes onto
+		// identical border coordinates, which breaks the distinct-position
+		// assumption downstream (routing, k-d splits).
+		placed := false
+		for draw := 0; draw < 100; draw++ {
+			p := geo.Pt(src.Normal(c.X, spread), src.Normal(c.Y, spread))
+			if p.X >= 0 && p.X < side && p.Y >= 0 && p.Y < side {
+				pts[i] = p
+				placed = true
+				break
 			}
 		}
-		l := &Layout{Spec: spec, Side: side, Positions: pts}
-		l.index()
-		if l.Connected() {
-			return l, nil
+		if !placed {
+			pts[i] = geo.Pt(src.Uniform(0, side), src.Uniform(0, side))
 		}
 	}
-	return nil, ErrDisconnected
+	return pts
 }
 
 // FromPositions builds a Layout from explicit node positions (used by unit

@@ -305,7 +305,7 @@ func TestLargerNetworkSizes(t *testing.T) {
 
 func TestGenerateClustered(t *testing.T) {
 	spec := DefaultSpec(600)
-	l, err := GenerateClustered(spec, 4, 0.12, rng.New(40))
+	l, err := Generate(Spec{Nodes: 600, RadioRange: 40, AvgNeighbors: 20, Clusters: 4, ClusterSpread: 0.12}, rng.New(40))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,13 +344,15 @@ func TestGenerateClustered(t *testing.T) {
 
 func TestGenerateClusteredValidation(t *testing.T) {
 	spec := DefaultSpec(100)
-	if _, err := GenerateClustered(spec, 0, 0.1, rng.New(1)); err == nil {
-		t.Error("zero clusters accepted")
+	spec.Clusters = -1
+	if _, err := Generate(spec, rng.New(1)); err == nil {
+		t.Error("negative clusters accepted")
 	}
-	if _, err := GenerateClustered(spec, 3, 0, rng.New(1)); err == nil {
+	spec.Clusters, spec.ClusterSpread = 3, 0
+	if _, err := Generate(spec, rng.New(1)); err == nil {
 		t.Error("zero spread accepted")
 	}
-	if _, err := GenerateClustered(Spec{Nodes: 1, RadioRange: 40, AvgNeighbors: 20}, 3, 0.1, rng.New(1)); err == nil {
+	if _, err := Generate(Spec{Nodes: 1, RadioRange: 40, AvgNeighbors: 20, Clusters: 3, ClusterSpread: 0.1}, rng.New(1)); err == nil {
 		t.Error("invalid spec accepted")
 	}
 }

@@ -141,7 +141,9 @@ func TestSparseNetworkNearConnectivityThreshold(t *testing.T) {
 }
 
 func TestClusteredDeploymentDelivery(t *testing.T) {
-	l, err := field.GenerateClustered(field.DefaultSpec(300), 4, 0.12, rng.New(79))
+	spec := field.DefaultSpec(300)
+	spec.Clusters, spec.ClusterSpread = 4, 0.12
+	l, err := field.Generate(spec, rng.New(79))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"time"
 
+	"pooldcs/internal/dcs"
 	"pooldcs/internal/dim"
 	"pooldcs/internal/ght"
 	"pooldcs/internal/network"
@@ -45,15 +46,12 @@ type Batcher interface {
 }
 
 // SystemBackend adapts one synchronous DCS system to the station model:
-// it maps operations to serving stations and executes them, reporting
-// the message cost that becomes the station's service demand.
+// it names the system, says which operation classes it serves, and maps
+// each operation to its serving station.
 type SystemBackend interface {
 	Name() string
 	Station(op *Op) int
 	Supports(c Class) bool
-	// Execute runs op on the underlying system and returns the number of
-	// radio messages it cost.
-	Execute(op *Op) (msgs uint64, err error)
 }
 
 // CostModel converts an operation's message footprint into the service
@@ -86,12 +84,15 @@ type batch struct {
 	gen   uint64 // invalidates the window timer after an early flush
 }
 
-// StationTarget runs a SystemBackend under the station queueing model:
-// each operation executes synchronously for its message footprint, then
-// occupies its serving station for the modelled service time; completion
-// fires when the station works through the queue.
+// StationTarget runs a synchronous system under the station queueing
+// model: each operation executes synchronously for its message
+// footprint, then occupies the serving station its SystemBackend names
+// for the modelled service time; completion fires when the station works
+// through the queue.
 type StationTarget struct {
 	backend  SystemBackend
+	sys      dcs.System
+	net      *network.Network
 	sched    *sim.Scheduler
 	cost     CostModel
 	stations map[int]*Station
@@ -108,9 +109,10 @@ type StationTarget struct {
 	errs []error
 }
 
-// NewStationTarget wraps backend in the station model on sched. A zero
-// cost model selects DefaultCost.
-func NewStationTarget(backend SystemBackend, sched *sim.Scheduler, cost CostModel) *StationTarget {
+// NewStationTarget runs sys, whose radio is net, in the station model on
+// sched, with backend mapping its operations to stations. A zero cost
+// model selects DefaultCost.
+func NewStationTarget(backend SystemBackend, sys dcs.System, net *network.Network, sched *sim.Scheduler, cost CostModel) *StationTarget {
 	if cost == (CostModel{}) {
 		cost = DefaultCost
 	}
@@ -119,6 +121,8 @@ func NewStationTarget(backend SystemBackend, sched *sim.Scheduler, cost CostMode
 	}
 	return &StationTarget{
 		backend:  backend,
+		sys:      sys,
+		net:      net,
 		sched:    sched,
 		cost:     cost,
 		stations: make(map[int]*Station),
@@ -160,9 +164,29 @@ func (t *StationTarget) station(id int) *Station {
 	return st
 }
 
+// execute runs op on the system and returns the number of radio
+// messages (inserts, queries and replies) it cost.
+func (t *StationTarget) execute(op *Op) (uint64, error) {
+	before := t.traffic()
+	var err error
+	if op.Class == Insert {
+		err = t.sys.Insert(op.Node, op.Event)
+	} else {
+		_, err = t.sys.Query(op.Node, op.Query)
+	}
+	if err != nil {
+		return 0, fmt.Errorf("load: %s %s: %w", t.backend.Name(), op.Class, err)
+	}
+	return t.traffic() - before, nil
+}
+
+func (t *StationTarget) traffic() uint64 {
+	return t.net.Messages(network.KindQuery) + t.net.Messages(network.KindReply) + t.net.Messages(network.KindInsert)
+}
+
 // Launch implements Target.
 func (t *StationTarget) Launch(op *Op, station int, done func()) error {
-	msgs, err := t.backend.Execute(op)
+	msgs, err := t.execute(op)
 	if err != nil {
 		return err
 	}
@@ -232,7 +256,7 @@ func (t *StationTarget) flush(station int) {
 	b.gen++
 	var total uint64
 	for _, op := range ops {
-		msgs, err := t.backend.Execute(op)
+		msgs, err := t.execute(op)
 		if err != nil {
 			t.errs = append(t.errs, fmt.Errorf("load: batched %s op: %w", op.Class, err))
 			continue
@@ -261,16 +285,9 @@ func (t *StationTarget) MaxDepth() int {
 // Errs returns errors recorded by asynchronous batch flushes.
 func (t *StationTarget) Errs() []error { return t.errs }
 
-// queryReplyKinds sums the message counters a query-class operation
-// moves; insertKinds the ones an insert moves.
-func trafficDelta(net *network.Network) uint64 {
-	return net.Messages(network.KindQuery) + net.Messages(network.KindReply) + net.Messages(network.KindInsert)
-}
-
 // PoolBackend adapts pool.System.
 type PoolBackend struct {
 	Sys *pool.System
-	Net *network.Network
 }
 
 // Name implements SystemBackend.
@@ -296,25 +313,9 @@ func (b *PoolBackend) Station(op *Op) int {
 	return op.Node
 }
 
-// Execute implements SystemBackend.
-func (b *PoolBackend) Execute(op *Op) (uint64, error) {
-	before := trafficDelta(b.Net)
-	var err error
-	if op.Class == Insert {
-		err = b.Sys.Insert(op.Node, op.Event)
-	} else {
-		_, err = b.Sys.Query(op.Node, op.Query)
-	}
-	if err != nil {
-		return 0, fmt.Errorf("load: pool %s: %w", op.Class, err)
-	}
-	return trafficDelta(b.Net) - before, nil
-}
-
 // DIMBackend adapts dim.System.
 type DIMBackend struct {
 	Sys *dim.System
-	Net *network.Network
 }
 
 // Name implements SystemBackend.
@@ -335,21 +336,6 @@ func (b *DIMBackend) Station(op *Op) int {
 		return zs[0].Owner
 	}
 	return op.Node
-}
-
-// Execute implements SystemBackend.
-func (b *DIMBackend) Execute(op *Op) (uint64, error) {
-	before := trafficDelta(b.Net)
-	var err error
-	if op.Class == Insert {
-		err = b.Sys.Insert(op.Node, op.Event)
-	} else {
-		_, err = b.Sys.Query(op.Node, op.Query)
-	}
-	if err != nil {
-		return 0, fmt.Errorf("load: dim %s: %w", op.Class, err)
-	}
-	return trafficDelta(b.Net) - before, nil
 }
 
 // GHTBackend adapts ght.System. GHT hashes whole events to a point, so
@@ -375,19 +361,4 @@ func (b *GHTBackend) Station(op *Op) int {
 		}
 	}
 	return b.Net.Layout().Nearest(b.Sys.HashPoint(values))
-}
-
-// Execute implements SystemBackend.
-func (b *GHTBackend) Execute(op *Op) (uint64, error) {
-	before := trafficDelta(b.Net)
-	var err error
-	if op.Class == Insert {
-		err = b.Sys.Insert(op.Node, op.Event)
-	} else {
-		_, err = b.Sys.Query(op.Node, op.Query)
-	}
-	if err != nil {
-		return 0, fmt.Errorf("load: ght %s: %w", op.Class, err)
-	}
-	return trafficDelta(b.Net) - before, nil
 }

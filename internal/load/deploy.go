@@ -4,10 +4,11 @@ import (
 	"fmt"
 
 	"pooldcs/internal/dcs"
+	"pooldcs/internal/deploy"
 	"pooldcs/internal/dim"
+	"pooldcs/internal/event"
 	"pooldcs/internal/field"
 	"pooldcs/internal/ght"
-	"pooldcs/internal/gpsr"
 	"pooldcs/internal/network"
 	"pooldcs/internal/node"
 	"pooldcs/internal/pool"
@@ -30,74 +31,58 @@ type Deployment struct {
 }
 
 // Deploy builds a connected deployment of n sensors running the named
-// backend ("pool", "dim", "ght", or "pool-actor") with perNode uniform
-// events preloaded, mirroring the §5.1 stored-event load so queries hit
-// a populated store. The preload happens before the load clock starts
-// and is not charged to any station.
+// deploy backend ("pool", "dim", "ght", or "pool-actor", the actor
+// engine) with perNode uniform events preloaded, mirroring the §5.1
+// stored-event load so queries hit a populated store. The preload
+// happens before the load clock starts and is not charged to any
+// station.
 func Deploy(backend string, n, dims int, perNode int, src *rng.Source, sched *sim.Scheduler, cost CostModel) (*Deployment, error) {
-	layout, err := field.Generate(field.DefaultSpec(n), src.Fork("layout"))
+	b, err := deploy.Lookup(backend)
 	if err != nil {
 		return nil, fmt.Errorf("load: %w", err)
 	}
-	router := gpsr.New(layout)
+	layout, router, err := deploy.Substrate(field.DefaultSpec(n), src)
+	if err != nil {
+		return nil, fmt.Errorf("load: %w", err)
+	}
 	net := network.New(layout)
 	gen := workload.NewUniformEvents(src.Fork("preload"), dims)
+	d := deploy.Deps{Net: net, Router: router, Sched: sched, Dims: dims}
+	if b.Seeded {
+		d.Src = src.Fork("pivots")
+	}
+	sut, err := b.New(d)
+	if err != nil {
+		return nil, fmt.Errorf("load: %w", err)
+	}
 
-	switch backend {
-	case "pool":
-		sys, err := pool.New(net, router, dims, src.Fork("pivots"))
-		if err != nil {
-			return nil, fmt.Errorf("load: %w", err)
-		}
-		if err := preload(sys, layout, perNode, gen); err != nil {
-			return nil, err
-		}
-		return &Deployment{Target: NewStationTarget(&PoolBackend{Sys: sys, Net: net}, sched, cost), Nodes: n, Sys: sys}, nil
-	case "dim":
-		sys, err := dim.New(net, router, dims)
-		if err != nil {
-			return nil, fmt.Errorf("load: %w", err)
-		}
-		if err := preload(sys, layout, perNode, gen); err != nil {
-			return nil, err
-		}
-		return &Deployment{Target: NewStationTarget(&DIMBackend{Sys: sys, Net: net}, sched, cost), Nodes: n, Sys: sys}, nil
-	case "ght":
-		sys := ght.New(net, router)
-		if err := preload(sys, layout, perNode, gen); err != nil {
-			return nil, err
-		}
-		return &Deployment{Target: NewStationTarget(&GHTBackend{Sys: sys, Net: net}, sched, cost), Nodes: n, Sys: sys}, nil
-	case "pool-actor":
-		eng, err := node.NewEngine(net, router, sched, dims, src.Fork("pivots"), nil)
-		if err != nil {
-			return nil, fmt.Errorf("load: %w", err)
-		}
-		for i := 0; i < layout.N(); i++ {
-			for j := 0; j < perNode; j++ {
-				if err := eng.Insert(i, gen.Next(), nil); err != nil {
-					return nil, fmt.Errorf("load: preload: %w", err)
-				}
+	dep := &Deployment{Nodes: n}
+	insert := sut.Insert
+	var eng *node.Engine
+	switch s := sut.(type) {
+	case *node.Sync:
+		eng = s.Engine()
+		insert = func(origin int, e event.Event) error { return eng.Insert(origin, e, nil) }
+	case *pool.System:
+		dep.Target, dep.Sys = NewStationTarget(&PoolBackend{Sys: s}, s, net, sched, cost), s
+	case *dim.System:
+		dep.Target, dep.Sys = NewStationTarget(&DIMBackend{Sys: s}, s, net, sched, cost), s
+	case *ght.System:
+		dep.Target, dep.Sys = NewStationTarget(&GHTBackend{Sys: s, Net: net}, s, net, sched, cost), s
+	}
+	for i := 0; i < n; i++ {
+		for j := 0; j < perNode; j++ {
+			if err := insert(i, gen.Next()); err != nil {
+				return nil, fmt.Errorf("load: preload: %w", err)
 			}
 		}
+	}
+	if eng != nil {
 		// Drain the preload inserts before the load clock starts; the
 		// engine's runs are start-relative, so the elapsed preload time
 		// does not shift the offered horizon.
 		sched.Run()
-		return &Deployment{Target: NewActorTarget(eng, cost.PerMessage), Nodes: n}, nil
-	default:
-		return nil, fmt.Errorf("load: unknown backend %q (choose from pool, dim, ght, pool-actor)", backend)
+		dep.Target = NewActorTarget(eng, cost.PerMessage)
 	}
-}
-
-// preload stores perNode events per sensor into a synchronous system.
-func preload(sys dcs.System, layout *field.Layout, perNode int, gen *workload.Events) error {
-	for i := 0; i < layout.N(); i++ {
-		for j := 0; j < perNode; j++ {
-			if err := sys.Insert(i, gen.Next()); err != nil {
-				return fmt.Errorf("load: preload: %w", err)
-			}
-		}
-	}
-	return nil
+	return dep, nil
 }

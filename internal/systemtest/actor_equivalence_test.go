@@ -17,10 +17,6 @@ import (
 // the same completeness accounting — including after a crash repaired
 // by real multi-hop re-election and mirror-transfer exchanges.
 func TestConformanceActorEquivalence(t *testing.T) {
-	byName := map[string]Factory{}
-	for _, f := range Factories() {
-		byName[f.Name] = f
-	}
 	pairs := []struct{ actor, spec string }{
 		{"node", "pool"},
 		{"node+repair", "pool+repl"},
@@ -33,11 +29,11 @@ func TestConformanceActorEquivalence(t *testing.T) {
 				sc := sc
 				name := fmt.Sprintf("%s-vs-%s/seed%d/%s", pr.actor, pr.spec, seed, sc.name)
 				t.Run(name, func(t *testing.T) {
-					actor, err := BuildUniverse(byName[pr.actor], confNodes, confEvents, confDims, seed)
+					actor, err := BuildUniverse(mustLookup(t, pr.actor), confNodes, confEvents, confDims, seed)
 					if err != nil {
 						t.Fatal(err)
 					}
-					spec, err := BuildUniverse(byName[pr.spec], confNodes, confEvents, confDims, seed)
+					spec, err := BuildUniverse(mustLookup(t, pr.spec), confNodes, confEvents, confDims, seed)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -59,7 +55,7 @@ func TestConformanceActorEquivalence(t *testing.T) {
 						t.Fatalf("oracle diverges: %d vs %d events", len(actor.Events), len(spec.Events))
 					}
 					for i, e := range actor.Events {
-						q := PointQueryFor(e)
+						q := event.PointQuery(e)
 						aGot, aComp, aErr := actor.Sys.QueryWithReport(sink, q)
 						sGot, sComp, sErr := spec.Sys.QueryWithReport(sink, q)
 						if aErr != nil || sErr != nil {

@@ -5,6 +5,7 @@ import (
 
 	"pooldcs/internal/antientropy"
 	"pooldcs/internal/dcs"
+	"pooldcs/internal/deploy"
 )
 
 // TestConformanceAntiEntropyEventualEquality pins the repair contract
@@ -14,7 +15,7 @@ import (
 // pair holding identical digest sets — and the full query sweep must
 // come back whole.
 func TestConformanceAntiEntropyEventualEquality(t *testing.T) {
-	for _, f := range Factories() {
+	for _, f := range deploy.Backends() {
 		f := f
 		t.Run(f.Name, func(t *testing.T) {
 			u, err := BuildUniverse(f, confNodes, confEvents, confDims, confSeed+77)

@@ -18,16 +18,12 @@ import (
 // the span's wall clock EXACTLY, with the span bounds consistent. The
 // name keeps it inside the `make conformance` race-enabled run.
 func TestConformanceAutopsySumsToTotal(t *testing.T) {
-	byName := map[string]Factory{}
-	for _, f := range Factories() {
-		byName[f.Name] = f
-	}
 	for _, flavour := range []string{"node", "node+repair"} {
 		flavour := flavour
 		for _, sc := range scenarios() {
 			sc := sc
 			t.Run(fmt.Sprintf("%s/%s", flavour, sc.name), func(t *testing.T) {
-				u, err := BuildUniverse(byName[flavour], confNodes, confEvents, confDims, confSeed)
+				u, err := BuildUniverse(mustLookup(t, flavour), confNodes, confEvents, confDims, confSeed)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"pooldcs/internal/deploy"
 	"pooldcs/internal/event"
 	"pooldcs/internal/rng"
 )
@@ -60,7 +61,7 @@ type scenario struct {
 // with optional per-name overrides.
 func everySystem(base expect, overrides map[string]expect) map[string]expect {
 	m := map[string]expect{}
-	for _, f := range Factories() {
+	for _, f := range deploy.Backends() {
 		e := base
 		if o, ok := overrides[f.Name]; ok {
 			e = o
@@ -213,7 +214,7 @@ func scenarios() []scenario {
 // TestConformance is the cross-system spec: every scenario against every
 // system flavour, each on a fresh deterministic universe.
 func TestConformance(t *testing.T) {
-	for _, f := range Factories() {
+	for _, f := range deploy.Backends() {
 		f := f
 		t.Run(f.Name, func(t *testing.T) {
 			for _, sc := range scenarios() {
@@ -258,7 +259,7 @@ func TestConformance(t *testing.T) {
 // harness: the same seed must yield byte-identical reports for the most
 // stateful scenario (beacon-driven detection) of every system.
 func TestConformanceDeterministic(t *testing.T) {
-	run := func(f Factory) Report {
+	run := func(f deploy.Backend) Report {
 		u, err := BuildUniverse(f, confNodes, confEvents, confDims, confSeed)
 		if err != nil {
 			t.Fatal(err)
@@ -274,10 +275,20 @@ func TestConformanceDeterministic(t *testing.T) {
 		u.Detector.Stop()
 		return u.RunQueries(u.PickAlive())
 	}
-	for _, f := range Factories() {
+	for _, f := range deploy.Backends() {
 		a, b := run(f), run(f)
 		if !reflect.DeepEqual(a, b) {
 			t.Errorf("%s: same-seed runs diverge:\n%+v\n%+v", f.Name, a, b)
 		}
 	}
+}
+
+// mustLookup returns the registered backend called name.
+func mustLookup(t *testing.T, name string) deploy.Backend {
+	t.Helper()
+	b, err := deploy.Lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }

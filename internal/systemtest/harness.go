@@ -1,8 +1,9 @@
 // Package systemtest is the cross-system conformance harness: one table
-// of fault/recovery/query scenarios executed against every System
-// implementation (Pool, Pool with replication, DIM, GHT, GHT with
-// structured replication), so their degradation semantics are pinned by
-// a single spec instead of per-package test files that can drift.
+// of fault/recovery/query scenarios executed against every backend in
+// the deploy registry (Pool, Pool with replication, DIM, GHT, GHT with
+// structured replication, and the actor engine with and without
+// repair), so their degradation semantics are pinned by a single spec
+// instead of per-package test files that can drift.
 //
 // The contract under test is the shared fault surface grown around the
 // paper's protocols: FailNode/RecoverNode/Failed, QueryWithReport with
@@ -15,117 +16,43 @@ import (
 	"fmt"
 	"time"
 
-	"pooldcs/internal/chaos"
-	"pooldcs/internal/dcs"
-	"pooldcs/internal/dim"
+	"pooldcs/internal/deploy"
 	"pooldcs/internal/discovery"
 	"pooldcs/internal/event"
 	"pooldcs/internal/field"
-	"pooldcs/internal/ght"
-	"pooldcs/internal/gpsr"
-	"pooldcs/internal/network"
-	"pooldcs/internal/node"
-	"pooldcs/internal/pool"
 	"pooldcs/internal/rng"
 	"pooldcs/internal/sim"
 )
 
-// SUT is the surface every storage system must conform to: insert,
-// query-with-completeness, the fault hooks the chaos engine drives, and
-// the storage report the harness uses to aim crashes at loaded nodes.
-type SUT interface {
-	Name() string
-	Insert(origin int, e event.Event) error
-	QueryWithReport(sink int, q event.Query) ([]event.Event, dcs.Completeness, error)
-	FailNode(id int) error
-	RecoverNode(id int)
-	Failed(id int) bool
-	StorageLoad() []int
-}
+// SUT is the surface every backend conforms to.
+type SUT = deploy.SUT
 
-// Universe is one system under test with its full substrate: the shared
-// deterministic scheduler, radio, router, beacon protocol, and the chaos
-// engine wired for beacon-timeout failure detection.
+// Universe is one system under test with its full substrate (see
+// deploy.Universe) plus the ground-truth oracle.
 type Universe struct {
-	Sched    *sim.Scheduler
-	Net      *network.Network
-	Router   *gpsr.Router
-	Sys      SUT
-	Detector *discovery.Protocol
-	Engine   *chaos.Engine
+	*deploy.Universe
 
 	// Events is the ground-truth oracle: every event ever inserted.
 	Events []event.Event
 }
 
-// Factory names one system flavour and builds it over a substrate. The
-// scheduler is the deployment's event kernel: the synchronous systems
-// ignore it, the actor-engine flavours run their exchanges on it.
-type Factory struct {
-	Name string
-	New  func(net *network.Network, router *gpsr.Router, sched *sim.Scheduler, dims int, src *rng.Source) (SUT, error)
-}
-
-// Factories returns every system flavour the conformance suite covers.
-// "node" and "node+repair" are the actor-engine implementations of
-// "pool" and "pool+repl": the same protocol executed as real
-// message exchanges (including message-driven fault repair), drained to
-// completion behind the synchronous SUT surface by node.Sync.
-func Factories() []Factory {
-	return []Factory{
-		{"pool", func(net *network.Network, router *gpsr.Router, _ *sim.Scheduler, dims int, src *rng.Source) (SUT, error) {
-			return pool.New(net, router, dims, src)
-		}},
-		{"pool+repl", func(net *network.Network, router *gpsr.Router, _ *sim.Scheduler, dims int, src *rng.Source) (SUT, error) {
-			return pool.New(net, router, dims, src, pool.WithReplication())
-		}},
-		{"dim", func(net *network.Network, router *gpsr.Router, _ *sim.Scheduler, dims int, src *rng.Source) (SUT, error) {
-			return dim.New(net, router, dims)
-		}},
-		{"ght", func(net *network.Network, router *gpsr.Router, _ *sim.Scheduler, dims int, src *rng.Source) (SUT, error) {
-			return ght.New(net, router), nil
-		}},
-		{"ght+sr", func(net *network.Network, router *gpsr.Router, _ *sim.Scheduler, dims int, src *rng.Source) (SUT, error) {
-			return ght.New(net, router, ght.WithStructuredReplication(1)), nil
-		}},
-		{"node", func(net *network.Network, router *gpsr.Router, sched *sim.Scheduler, dims int, src *rng.Source) (SUT, error) {
-			eng, err := node.NewEngine(net, router, sched, dims, src, nil)
-			if err != nil {
-				return nil, err
-			}
-			return node.NewSync("node", eng, sched), nil
-		}},
-		{"node+repair", func(net *network.Network, router *gpsr.Router, sched *sim.Scheduler, dims int, src *rng.Source) (SUT, error) {
-			eng, err := node.NewEngine(net, router, sched, dims, src, nil, node.WithReplication())
-			if err != nil {
-				return nil, err
-			}
-			return node.NewSync("node+repair", eng, sched), nil
-		}},
-	}
-}
-
-// BuildUniverse assembles one factory's system over a fresh deployment
-// and loads events from random origins. The same seed always yields the
-// same universe, event placement, and beacon timeline.
-func BuildUniverse(f Factory, n, nEvents, dims int, seed int64) (*Universe, error) {
+// BuildUniverse assembles one backend over a fresh deployment, with
+// beacon-timeout failure detection wired into the chaos engine, and
+// loads events from random origins. The same seed always yields the same
+// universe, event placement, and beacon timeline.
+func BuildUniverse(b deploy.Backend, n, nEvents, dims int, seed int64) (*Universe, error) {
 	src := rng.New(seed)
-	layout, err := field.Generate(field.DefaultSpec(n), src.Fork("layout"))
+	layout, err := deploy.Layout(field.DefaultSpec(n), src)
 	if err != nil {
 		return nil, err
 	}
-	sched := sim.NewScheduler()
-	net := network.New(layout)
-	router := gpsr.New(layout)
-	sys, err := f.New(net, router, sched, dims, src.Fork("system"))
+	du, err := deploy.NewUniverse(layout, sim.NewScheduler(), b.Name, dims, src.Fork("system"), nil)
 	if err != nil {
 		return nil, err
 	}
-	disc := discovery.New(net, sched, src.Fork("beacons"), discovery.Config{Interval: time.Second})
-	engine := chaos.NewEngine(sched, net, router, []chaos.System{sys},
-		chaos.WithFailureDetection(disc))
+	du.Detect(src.Fork("beacons"), discovery.Config{Interval: time.Second})
 
-	u := &Universe{Sched: sched, Net: net, Router: router, Sys: sys, Detector: disc, Engine: engine}
+	u := &Universe{Universe: du}
 	evSrc := src.Fork("events")
 	for i := 0; i < nEvents; i++ {
 		vals := make([]float64, dims)
@@ -135,7 +62,7 @@ func BuildUniverse(f Factory, n, nEvents, dims int, seed int64) (*Universe, erro
 		e := event.New(vals...)
 		e.Seq = uint64(i + 1)
 		if err := u.Insert(evSrc.Intn(n), e); err != nil {
-			return nil, fmt.Errorf("%s: load event %d: %w", f.Name, i, err)
+			return nil, fmt.Errorf("%s: load event %d: %w", b.Name, i, err)
 		}
 	}
 	return u, nil
@@ -148,16 +75,6 @@ func (u *Universe) Insert(origin int, e event.Event) error {
 	}
 	u.Events = append(u.Events, e)
 	return nil
-}
-
-// PointQueryFor builds the exact-match query addressing one event's key
-// — the one query class every system, GHT included, can evaluate.
-func PointQueryFor(e event.Event) event.Query {
-	rs := make([]event.Range, len(e.Values))
-	for i, v := range e.Values {
-		rs[i] = event.PointRange(v)
-	}
-	return event.NewQuery(rs...)
 }
 
 // MostLoaded returns the node holding the most events — the crash target
@@ -226,7 +143,7 @@ type Report struct {
 func (u *Universe) RunQueries(sink int) Report {
 	var rep Report
 	for _, e := range u.Events {
-		q := PointQueryFor(e)
+		q := event.PointQuery(e)
 		oracle := q.Rewrite().Filter(u.Events)
 		got, comp, err := u.Sys.QueryWithReport(sink, q)
 		rep.Queries++
@@ -255,7 +172,7 @@ func (u *Universe) RunQueries(sink int) Report {
 					fmt.Sprintf("event %d: phantom result %d", e.Seq, g.Seq))
 			}
 		}
-		rep.SumRecall += recallOf(got, oracle)
+		rep.SumRecall += event.Recall(got, oracle)
 		rep.SumComp += comp.Fraction()
 		rep.Retries += comp.Retries
 		if comp.Complete() {
@@ -283,22 +200,3 @@ func (r Report) MeanCompleteness() float64 {
 
 // AllComplete reports whether every query's fan-out was fully served.
 func (r Report) AllComplete() bool { return r.Complete == r.Queries }
-
-// recallOf returns |got ∩ oracle| / |oracle|, 1.0 when the oracle is
-// empty (nothing to miss).
-func recallOf(got, oracle []event.Event) float64 {
-	if len(oracle) == 0 {
-		return 1
-	}
-	want := make(map[uint64]bool, len(oracle))
-	for _, e := range oracle {
-		want[e.Seq] = true
-	}
-	hit := 0
-	for _, e := range got {
-		if want[e.Seq] {
-			hit++
-		}
-	}
-	return float64(hit) / float64(len(oracle))
-}

@@ -24,6 +24,7 @@ import (
 	"fmt"
 
 	"pooldcs/internal/dcs"
+	"pooldcs/internal/deploy"
 	"pooldcs/internal/event"
 	"pooldcs/internal/field"
 	"pooldcs/internal/gpsr"
@@ -146,19 +147,13 @@ func NewSimulation(cfg Config) (*Simulation, error) {
 		RadioRange:   cfg.RadioRange,
 		AvgNeighbors: cfg.AvgNeighbors,
 	}
-	var (
-		layout *field.Layout
-		err    error
-	)
 	if cfg.Clustered {
-		layout, err = field.GenerateClustered(spec, cfg.Clusters, cfg.ClusterSpread, src.Fork("layout"))
-	} else {
-		layout, err = field.Generate(spec, src.Fork("layout"))
+		spec.Clusters, spec.ClusterSpread = cfg.Clusters, cfg.ClusterSpread
 	}
+	layout, router, err := deploy.Substrate(spec, src)
 	if err != nil {
 		return nil, err
 	}
-	router := gpsr.New(layout)
 	var netOpts []network.Option
 	if cfg.MTU > 0 {
 		netOpts = append(netOpts, network.WithMTU(cfg.MTU))
