@@ -10,26 +10,22 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// TestGolden locks the exact output of the seeded quick runs: any change
-// to placement, routing, resolving, or cost accounting shows up as a
-// golden diff. Regenerate intentionally with:
+// TestGolden locks the exact output of every experiment's seeded quick
+// run, plus the actor-engine resilience variant: any change to
+// placement, routing, resolving, or cost accounting shows up as a golden
+// diff. Regenerate intentionally with:
 //
 //	go test ./cmd/poolsim -run Golden -update
 func TestGolden(t *testing.T) {
-	cases := []struct {
+	type goldenCase struct {
 		name string
 		args []string
-	}{
-		{"fig6b", []string{"-quick", "fig6b"}},
-		{"fig7b", []string{"-quick", "fig7b"}},
-		{"insert", []string{"-quick", "insert"}},
-		{"pointquery", []string{"-quick", "pointquery"}},
-		{"churn", []string{"-quick", "churn"}},
-		{"resilience-node", []string{"-quick", "-backend=node", "-repair", "resilience"}},
-		{"loadbalance", []string{"-quick", "loadbalance"}},
-		{"asyncscale", []string{"-quick", "asyncscale"}},
-		{"saturation", []string{"-quick", "saturation"}},
 	}
+	var cases []goldenCase
+	for _, name := range order {
+		cases = append(cases, goldenCase{name, []string{"-quick", name}})
+	}
+	cases = append(cases, goldenCase{"resilience-node", []string{"-quick", "-backend=node", "-repair", "resilience"}})
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
