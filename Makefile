@@ -4,10 +4,14 @@
 
 GO ?= go
 
-.PHONY: build test vet race race-parallel fuzz chaos conformance $(COVER_TARGETS) smoke-bench micro-bench loadtest perfbench check bench bench-compare golden
+.PHONY: build fmt test vet race race-parallel fuzz chaos conformance $(COVER_TARGETS) smoke-bench micro-bench loadtest perfbench check bench bench-compare golden
 
 build:
 	$(GO) build ./...
+
+# Every Go file, the nested perfbench module included, must be gofmt-clean.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 test:
 	$(GO) test ./...
@@ -125,7 +129,7 @@ loadtest:
 perfbench:
 	cd perfbench && $(GO) vet ./... && $(GO) test .
 
-check: build vet race race-parallel fuzz chaos conformance $(COVER_TARGETS) smoke-bench micro-bench loadtest perfbench
+check: build fmt vet race race-parallel fuzz chaos conformance $(COVER_TARGETS) smoke-bench micro-bench loadtest perfbench
 
 # Full benchmark sweep, archived as machine-readable JSON
 # (BENCH_<date>.json) via cmd/benchjson for cross-commit diffing, with

@@ -23,7 +23,6 @@ import (
 	"pooldcs/internal/pool"
 	"pooldcs/internal/rng"
 	"pooldcs/internal/trace"
-	"pooldcs/internal/wire"
 	"pooldcs/internal/workload"
 )
 
@@ -384,33 +383,6 @@ func BenchmarkPoolNearest(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		point := []float64{src.Float64(), src.Float64(), src.Float64()}
 		if _, err := env.Pool.Nearest(src.Intn(900), point, 3); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkWireEncode(b *testing.B) {
-	e := event.Event{Seq: 42, Values: []float64{0.4, 0.3, 0.1}}
-	buf := make([]byte, 0, wire.EventSize(3))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		buf, err = wire.AppendEvent(buf[:0], e)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkWireDecode(b *testing.B) {
-	e := event.Event{Seq: 42, Values: []float64{0.4, 0.3, 0.1}}
-	buf, err := wire.AppendEvent(nil, e)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := wire.DecodeEvent(buf); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -38,7 +38,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strconv"
 	"time"
 
@@ -49,11 +48,13 @@ import (
 	"pooldcs/internal/deploy"
 	"pooldcs/internal/discovery"
 	"pooldcs/internal/field"
+	"pooldcs/internal/load"
 	"pooldcs/internal/metrics"
 	"pooldcs/internal/node"
 	"pooldcs/internal/pool"
 	"pooldcs/internal/rng"
 	"pooldcs/internal/sim"
+	"pooldcs/internal/stats"
 	"pooldcs/internal/texttable"
 	"pooldcs/internal/trace"
 	"pooldcs/internal/workload"
@@ -247,11 +248,12 @@ func run(args []string, out io.Writer) error {
 const autopsyRing = 1 << 18
 
 // registerAutopsy attributes the recorded query spans and registers the
-// attrib_* and slo_burn_* families. The burn rates follow the load
-// engine's accounting: the run is cut into sampling-period windows, a
-// window breaches when its query p99 exceeds the SLO, and the breached
-// fraction (over the last six windows for fast, the whole run for slow)
-// is divided by a 5% error budget.
+// attrib_* and slo_burn_* families. The burn rates are the load
+// engine's (load.SLO.BurnRates): the run is cut into sampling-period
+// windows, a window with query traffic breaches when its query p99
+// exceeds the SLO, and the breached fraction (over the last six such
+// windows for fast, all of them for slow) is divided by a 5% error
+// budget.
 func registerAutopsy(reg *metrics.Registry, flight *trace.Tracer, slo, window time.Duration) {
 	events := flight.Events()
 	a, _ := trace.Analyze(events)
@@ -273,65 +275,17 @@ func registerAutopsy(reg *metrics.Registry, flight *trace.Tracer, slo, window ti
 		reg.Counter("attrib_trace_dropped_total", "flight-recorder events evicted before analysis").Add(flight.Dropped())
 	}
 
-	fast, slow := burnRates(bds, slo, window)
-	reg.GaugeFunc("slo_burn_fast",
-		"breached-window fraction over the last 6 windows divided by the error budget",
-		func() float64 { return fast })
-	reg.GaugeFunc("slo_burn_slow",
-		"breached-window fraction over the whole run divided by the error budget",
-		func() float64 { return slow })
-}
-
-// burnRates buckets query completions into windows and returns the
-// fast (last six windows) and slow (whole run) burn rates against a 5%
-// error budget.
-func burnRates(bds []attrib.Breakdown, slo, window time.Duration) (fast, slow float64) {
-	const (
-		budget      = 0.05
-		fastWindows = 6
-	)
-	if len(bds) == 0 || window <= 0 {
-		return 0, 0
-	}
-	byWindow := map[int64][]int64{}
-	var last int64
+	windows := map[int64]*stats.IntHistogram{}
 	for _, bd := range bds {
 		w := int64(bd.End / window)
-		byWindow[w] = append(byWindow[w], int64(bd.Total/time.Millisecond))
-		if w > last {
-			last = w
+		if windows[w] == nil {
+			windows[w] = stats.NewIntHistogram()
 		}
+		windows[w].Add(int64(bd.Total / time.Millisecond))
 	}
-	breached := func(lats []int64) bool {
-		if len(lats) == 0 {
-			return false
-		}
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		rank := (99*len(lats) + 99) / 100
-		if rank < 1 {
-			rank = 1
-		}
-		return lats[rank-1] > int64(slo/time.Millisecond)
-	}
-	var total, bad, fastTotal, fastBad int
-	for w := int64(0); w <= last; w++ {
-		total++
-		b := breached(byWindow[w])
-		if b {
-			bad++
-		}
-		if w > last-fastWindows {
-			fastTotal++
-			if b {
-				fastBad++
-			}
-		}
-	}
-	slow = float64(bad) / float64(total) / budget
-	if fastTotal > 0 {
-		fast = float64(fastBad) / float64(fastTotal) / budget
-	}
-	return fast, slow
+	rule := load.SLO{P99: slo, Budget: load.DefaultSLO.Budget}
+	fast, slow := rule.BurnRates(rule.Breaches(windows))
+	load.RegisterBurnRates(reg, func() float64 { return fast }, func() float64 { return slow })
 }
 
 // renderText prints the human-readable report: family values, balance

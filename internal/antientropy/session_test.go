@@ -159,7 +159,7 @@ func TestInSyncPairConfirmsInOneSymbol(t *testing.T) {
 	if rec.Bytes() != uint64(frameBytes(1)) {
 		t.Fatalf("equal pair cost %d bytes, want %d", rec.Bytes(), frameBytes(1))
 	}
-	if net.Snapshot().TotalData() != 0 {
+	if c := net.Snapshot(); c.Total() != c.Messages[network.KindControl] {
 		t.Fatal("repair traffic leaked into data-path counters")
 	}
 }

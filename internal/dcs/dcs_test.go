@@ -70,14 +70,10 @@ func TestUnicastSelf(t *testing.T) {
 }
 
 func TestReport(t *testing.T) {
-	c := network.Counters{
-		Messages: map[network.Kind]uint64{
-			network.KindInsert: 5,
-			network.KindQuery:  7,
-			network.KindReply:  3,
-		},
-		EnergyJ: 1.5,
-	}
+	c := network.Counters{EnergyJ: 1.5}
+	c.Messages[network.KindInsert] = 5
+	c.Messages[network.KindQuery] = 7
+	c.Messages[network.KindReply] = 3
 	r := Report(c)
 	if r.Messages != 15 || r.InsertMessages != 5 || r.QueryMessages != 7 || r.ReplyMessages != 3 {
 		t.Errorf("Report = %+v", r)

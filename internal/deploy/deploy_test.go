@@ -205,6 +205,43 @@ func TestUniverseDetect(t *testing.T) {
 	}
 }
 
+// TestUniverseCrashHelpers: CrashSilent leaves an undetected corpse
+// (routing and radio down, storage unaware), CrashDetected also repairs,
+// and Recover brings the node back at every layer.
+func TestUniverseCrashHelpers(t *testing.T) {
+	src := rng.New(12)
+	layout, err := deploy.Layout(field.DefaultSpec(100), src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := deploy.NewUniverse(layout, sim.NewScheduler(), "pool", 3, src.Fork("system"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const victim = 7
+	state := func() [3]bool {
+		return [3]bool{u.Router.Excluded(victim), !u.Net.Alive(victim), u.Sys.Failed(victim)}
+	}
+	u.CrashSilent(victim)
+	if got := state(); got != [3]bool{true, true, false} {
+		t.Fatalf("after CrashSilent: excluded/radio down/failed = %v", got)
+	}
+	u.Recover(victim)
+	if got := state(); got != [3]bool{} {
+		t.Fatalf("after Recover: excluded/radio down/failed = %v", got)
+	}
+	if err := u.CrashDetected(victim); err != nil {
+		t.Fatal(err)
+	}
+	if got := state(); got != [3]bool{true, true, true} {
+		t.Fatalf("after CrashDetected: excluded/radio down/failed = %v", got)
+	}
+	u.Recover(victim)
+	if got := state(); got != [3]bool{} {
+		t.Fatalf("after the second Recover: excluded/radio down/failed = %v", got)
+	}
+}
+
 func TestUniverseBuildError(t *testing.T) {
 	layout, err := deploy.Layout(field.DefaultSpec(100), rng.New(1))
 	if err != nil {

@@ -58,3 +58,24 @@ func (u *Universe) Detect(beacons *rng.Source, cfg discovery.Config, opts ...cha
 	opts = append([]chaos.EngineOption{chaos.WithFailureDetection(u.Detector), chaos.WithMetrics(u.Metrics)}, opts...)
 	u.Engine = chaos.NewEngine(u.Sched, u.Net, u.Router, []chaos.System{u.Sys}, opts...)
 }
+
+// CrashDetected kills a node the way the chaos engine does after the
+// beacon timeout fired: routing first, then the radio, then repair.
+func (u *Universe) CrashDetected(id int) error {
+	u.CrashSilent(id)
+	return u.Sys.FailNode(id)
+}
+
+// CrashSilent silences a node's radio and routes without repairing —
+// the undetected-corpse window queries must degrade through.
+func (u *Universe) CrashSilent(id int) {
+	u.Router.Exclude(id)
+	u.Net.FailNode(id)
+}
+
+// Recover restores a node at every layer.
+func (u *Universe) Recover(id int) {
+	u.Router.Restore(id)
+	u.Net.RecoverNode(id)
+	u.Sys.RecoverNode(id)
+}

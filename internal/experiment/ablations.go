@@ -3,7 +3,9 @@ package experiment
 import (
 	"fmt"
 
+	"pooldcs/internal/dcs"
 	"pooldcs/internal/event"
+	"pooldcs/internal/field"
 	"pooldcs/internal/ght"
 	"pooldcs/internal/network"
 	"pooldcs/internal/pool"
@@ -21,19 +23,11 @@ func InsertCost(cfg Config) (*Result, error) {
 
 	rows, err := forEach(cfg.parallel(), len(cfg.NetworkSizes), func(i int) ([2]float64, error) {
 		n := cfg.NetworkSizes[i]
-		src := rng.New(cfg.Seed + int64(n) + 9000)
-		env, err := NewEnv(n, cfg.Dims, src)
+		env, err := loadedEnv(cfg.Seed+int64(n)+9000, field.DefaultSpec(n), cfg.Dims, cfg.EventsPerNode)
 		if err != nil {
 			return [2]float64{}, err
 		}
-		events := GenerateEvents(env.Layout, cfg.EventsPerNode, workload.NewUniformEvents(src.Fork("events"), cfg.Dims))
-		if err := env.InsertAll(events); err != nil {
-			return [2]float64{}, err
-		}
-		perEvent := func(net *network.Network) float64 {
-			return float64(net.Messages(network.KindInsert)) / float64(len(events))
-		}
-		return [2]float64{perEvent(env.DIMNet), perEvent(env.PoolNet)}, nil
+		return [2]float64{env.insertCost(env.DIMNet), env.insertCost(env.PoolNet)}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -84,7 +78,7 @@ func Hotspot(cfg Config, quota int) (*Result, error) {
 	addRow("DIM", env.DIM.StorageLoad(), 0)
 	addRow("Pool", env.Pool.StorageLoad(), 0)
 	addRow(fmt.Sprintf("Pool+sharing(q=%d)", quota), sharedPool.StorageLoad(),
-		sharedNet.Snapshot().Messages[network.KindControl])
+		sharedNet.Messages(network.KindControl))
 	return &Result{ID: "ablation-hotspot", Title: title, Table: table}, nil
 }
 
@@ -139,28 +133,16 @@ func PoolSize(cfg Config, sides []int) (*Result, error) {
 	}
 	rows, err := forEach(cfg.parallel(), len(sides), func(i int) (row, error) {
 		side := sides[i]
-		src := rng.New(cfg.Seed + 9200 + int64(side))
-		env, err := NewEnv(cfg.PartialSize, cfg.Dims, src, pool.WithPoolSide(side))
+		env, err := loadedEnv(cfg.Seed+9200+int64(side), field.DefaultSpec(cfg.PartialSize), cfg.Dims, cfg.EventsPerNode, pool.WithPoolSide(side))
 		if err != nil {
 			return row{}, err
 		}
-		events := GenerateEvents(env.Layout, cfg.EventsPerNode, workload.NewUniformEvents(src.Fork("events"), cfg.Dims))
-		for _, pe := range events {
-			if err := env.Pool.Insert(pe.Origin, pe.Event); err != nil {
-				return row{}, err
-			}
+		queries := exact(workload.NewQueries(env.src.Fork("queries"), cfg.Dims), cfg.Queries, workload.ExponentialSizes)
+		msgs, err := queryPass("pool", env.PoolNet, env.Pool, place(env.src.Fork("sinks"), cfg.PartialSize, queries), nil)
+		if err != nil {
+			return row{}, err
 		}
-
-		qgen := workload.NewQueries(src.Fork("queries"), cfg.Dims)
-		sinkSrc := src.Fork("sinks")
-		before := env.PoolNet.Messages(network.KindQuery) + env.PoolNet.Messages(network.KindReply)
-		for i := 0; i < cfg.Queries; i++ {
-			if _, err := env.Pool.Query(sinkSrc.Intn(cfg.PartialSize), qgen.ExactMatch(workload.ExponentialSizes)); err != nil {
-				return row{}, err
-			}
-		}
-		delta := env.PoolNet.Messages(network.KindQuery) + env.PoolNet.Messages(network.KindReply) - before
-		perQuery := float64(delta) / float64(cfg.Queries)
+		perQuery := float64(msgs) / float64(cfg.Queries)
 
 		indexNodes := make(map[int]bool)
 		for _, p := range env.Pool.Pools() {
@@ -186,19 +168,13 @@ func PointQuery(cfg Config) (*Result, error) {
 	title := fmt.Sprintf("Exact-match point query cost, N=%d (avg messages/query)", cfg.PartialSize)
 	table := texttable.New(title, "System", "Insert msgs/event", "Query msgs/query")
 
-	src := rng.New(cfg.Seed + 9300)
-	env, err := NewEnv(cfg.PartialSize, cfg.Dims, src)
+	env, err := loadedEnv(cfg.Seed+9300, field.DefaultSpec(cfg.PartialSize), cfg.Dims, cfg.EventsPerNode)
 	if err != nil {
 		return nil, err
 	}
 	ghtNet := network.New(env.Layout)
 	g := ght.New(ghtNet, env.Router)
-
-	events := GenerateEvents(env.Layout, cfg.EventsPerNode, workload.NewUniformEvents(src.Fork("events"), cfg.Dims))
-	if err := env.InsertAll(events); err != nil {
-		return nil, err
-	}
-	for _, pe := range events {
+	for _, pe := range env.events {
 		if err := g.Insert(pe.Origin, pe.Event); err != nil {
 			return nil, err
 		}
@@ -206,51 +182,32 @@ func PointQuery(cfg Config) (*Result, error) {
 
 	// Point queries target known stored events, so every system returns
 	// exactly one match.
-	sinkSrc := src.Fork("sinks")
-	pickSrc := src.Fork("picks")
-	queries := make([]PlacedQuery, cfg.Queries)
-	for i := range queries {
-		e := events[pickSrc.Intn(len(events))].Event
-		queries[i] = PlacedQuery{Sink: sinkSrc.Intn(cfg.PartialSize), Query: event.PointQuery(e)}
+	sinkSrc := env.src.Fork("sinks")
+	pickSrc := env.src.Fork("picks")
+	points := make([]event.Query, cfg.Queries)
+	for i := range points {
+		points[i] = event.PointQuery(env.events[pickSrc.Intn(len(env.events))].Event)
 	}
-
-	cost := func(net *network.Network, run func(pq PlacedQuery) error) (float64, error) {
-		before := net.Messages(network.KindQuery) + net.Messages(network.KindReply)
-		for _, pq := range queries {
-			if err := run(pq); err != nil {
-				return 0, err
-			}
-		}
-		delta := net.Messages(network.KindQuery) + net.Messages(network.KindReply) - before
-		return float64(delta) / float64(len(queries)), nil
-	}
+	queries := place(sinkSrc, cfg.PartialSize, points)
 
 	// The three systems run over disjoint networks and share only the
 	// (planarized, read-only) router, so their query passes fan out.
 	env.Router.PlanarNeighbors(0)
-	passes := []func() (float64, error){
-		func() (float64, error) {
-			return cost(ghtNet, func(pq PlacedQuery) error { _, err := g.Query(pq.Sink, pq.Query); return err })
-		},
-		func() (float64, error) {
-			return cost(env.DIMNet, func(pq PlacedQuery) error { _, err := env.DIM.Query(pq.Sink, pq.Query); return err })
-		},
-		func() (float64, error) {
-			return cost(env.PoolNet, func(pq PlacedQuery) error { _, err := env.Pool.Query(pq.Sink, pq.Query); return err })
-		},
-	}
-	costs, err := forEach(cfg.parallel(), len(passes), func(i int) (float64, error) { return passes[i]() })
+	passes := []struct {
+		name string
+		net  *network.Network
+		sys  dcs.System
+	}{{"GHT", ghtNet, g}, {"DIM", env.DIMNet, env.DIM}, {"Pool", env.PoolNet, env.Pool}}
+	msgs, err := forEach(cfg.parallel(), len(passes), func(i int) (uint64, error) {
+		return queryPass(passes[i].name, passes[i].net, passes[i].sys, queries, nil)
+	})
 	if err != nil {
 		return nil, err
 	}
-	ghtQ, dimQ, poolQ := costs[0], costs[1], costs[2]
-
-	perEvent := func(net *network.Network) float64 {
-		return float64(net.Snapshot().Messages[network.KindInsert]) / float64(len(events))
+	for i, p := range passes {
+		table.AddRow(p.name, texttable.Float(env.insertCost(p.net), 1),
+			texttable.Float(float64(msgs[i])/float64(len(queries)), 1))
 	}
-	table.AddRow("GHT", texttable.Float(perEvent(ghtNet), 1), texttable.Float(ghtQ, 1))
-	table.AddRow("DIM", texttable.Float(perEvent(env.DIMNet), 1), texttable.Float(dimQ, 1))
-	table.AddRow("Pool", texttable.Float(perEvent(env.PoolNet), 1), texttable.Float(poolQ, 1))
 	return &Result{ID: "ext-pointquery", Title: title, Table: table}, nil
 }
 
@@ -260,43 +217,43 @@ func Aggregates(cfg Config) (*Result, error) {
 	title := fmt.Sprintf("Splitter aggregation, N=%d (reply traffic per query)", cfg.PartialSize)
 	table := texttable.New(title, "Operation", "Messages", "ReplyBytes", "Value")
 
-	src := rng.New(cfg.Seed + 9400)
-	env, err := NewEnv(cfg.PartialSize, cfg.Dims, src)
+	env, err := loadedEnv(cfg.Seed+9400, field.DefaultSpec(cfg.PartialSize), cfg.Dims, cfg.EventsPerNode)
 	if err != nil {
 		return nil, err
 	}
-	events := GenerateEvents(env.Layout, cfg.EventsPerNode, workload.NewUniformEvents(src.Fork("events"), cfg.Dims))
-	for _, pe := range events {
-		if err := env.Pool.Insert(pe.Origin, pe.Event); err != nil {
-			return nil, err
-		}
-	}
-
 	q := event.NewQuery(event.Span(0, 1), event.Span(0, 1), event.Span(0, 1))
-	sink := src.Fork("sinks").Intn(cfg.PartialSize)
+	sink := env.src.Fork("sinks").Intn(cfg.PartialSize)
 
-	before := env.PoolNet.Snapshot()
-	results, err := env.Pool.Query(sink, q)
+	var results []event.Event
+	msgs, bytes, err := replyCost(env.PoolNet, func() (err error) {
+		results, err = env.Pool.Query(sink, q)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	diff := env.PoolNet.Diff(before)
-	table.AddRow("SELECT *",
-		texttable.Int(int(diff.Messages[network.KindQuery]+diff.Messages[network.KindReply])),
-		texttable.Int(int(diff.Bytes[network.KindReply])),
-		fmt.Sprintf("%d events", len(results)))
+	table.AddRow("SELECT *", texttable.Int(msgs), texttable.Int(bytes), fmt.Sprintf("%d events", len(results)))
 
 	for _, op := range []pool.AggOp{pool.AggCount, pool.AggSum, pool.AggAvg} {
-		before := env.PoolNet.Snapshot()
-		v, err := env.Pool.Aggregate(sink, q, op, 1)
+		var v float64
+		msgs, bytes, err := replyCost(env.PoolNet, func() (err error) {
+			v, err = env.Pool.Aggregate(sink, q, op, 1)
+			return err
+		})
 		if err != nil {
 			return nil, err
 		}
-		diff := env.PoolNet.Diff(before)
-		table.AddRow(op.String()+"(attr1)",
-			texttable.Int(int(diff.Messages[network.KindQuery]+diff.Messages[network.KindReply])),
-			texttable.Int(int(diff.Bytes[network.KindReply])),
-			texttable.Float(v, 2))
+		table.AddRow(op.String()+"(attr1)", texttable.Int(msgs), texttable.Int(bytes), texttable.Float(v, 2))
 	}
 	return &Result{ID: "ext-aggregate", Title: title, Table: table}, nil
+}
+
+// replyCost runs op and returns the queryMsgs and the reply payload
+// bytes it moved on net.
+func replyCost(net *network.Network, op func() error) (msgs, replyBytes int, err error) {
+	m, b := queryMsgs(net), net.PayloadBytes(network.KindReply)
+	if err := op(); err != nil {
+		return 0, 0, err
+	}
+	return int(queryMsgs(net) - m), int(net.PayloadBytes(network.KindReply) - b), nil
 }

@@ -7,7 +7,6 @@ import (
 	"pooldcs/internal/deploy"
 	"pooldcs/internal/event"
 	"pooldcs/internal/field"
-	"pooldcs/internal/network"
 	"pooldcs/internal/node"
 	"pooldcs/internal/rng"
 	"pooldcs/internal/sim"
@@ -29,28 +28,9 @@ func AsyncLatency(cfg Config) (*Result, error) {
 	table := texttable.New(title, "Workload", "mean", "p50", "p95", "max")
 
 	src := rng.New(cfg.Seed + 9995)
-	layout, router, err := deploy.Substrate(field.DefaultSpec(cfg.PartialSize), src)
+	u, eng, err := loadedEngine(src, cfg.PartialSize, cfg.Dims, cfg.EventsPerNode)
 	if err != nil {
 		return nil, err
-	}
-	sched := sim.NewScheduler()
-	net := network.New(layout)
-	eng, err := node.NewEngine(net, router, sched, cfg.Dims, src.Fork("pivots"), nil)
-	if err != nil {
-		return nil, err
-	}
-
-	gen := workload.NewUniformEvents(src.Fork("events"), cfg.Dims)
-	for n := 0; n < layout.N(); n++ {
-		for i := 0; i < cfg.EventsPerNode; i++ {
-			if err := eng.Insert(n, gen.Next(), nil); err != nil {
-				return nil, err
-			}
-		}
-	}
-	sched.Run()
-	if errs := eng.Errors(); len(errs) > 0 {
-		return nil, fmt.Errorf("async inserts: %v", errs[0])
 	}
 
 	qgen := workload.NewQueries(src.Fork("queries"), cfg.Dims)
@@ -64,24 +44,15 @@ func AsyncLatency(cfg Config) (*Result, error) {
 		{"2-partial", func() (event.Query, error) { return qgen.MPartial(2) }},
 	}
 	for _, kind := range kinds {
-		lat := make([]float64, 0, cfg.Queries)
-		for i := 0; i < cfg.Queries; i++ {
-			q, err := kind.gen()
-			if err != nil {
-				return nil, err
-			}
-			if err := eng.Query(sinkSrc.Intn(layout.N()), q, func(_ []event.Event, elapsed time.Duration) {
-				lat = append(lat, float64(elapsed.Milliseconds()))
-			}); err != nil {
+		queries := make([]event.Query, cfg.Queries)
+		for i := range queries {
+			if queries[i], err = kind.gen(); err != nil {
 				return nil, err
 			}
 		}
-		sched.Run()
-		if errs := eng.Errors(); len(errs) > 0 {
-			return nil, fmt.Errorf("async queries (%s): %v", kind.name, errs[0])
-		}
-		if len(lat) != cfg.Queries {
-			return nil, fmt.Errorf("%s: %d of %d queries completed", kind.name, len(lat), cfg.Queries)
+		lat, err := asyncLatencies(u, eng, place(sinkSrc, cfg.PartialSize, queries))
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", kind.name, err)
 		}
 		var sum stats.Summary
 		for _, v := range lat {
@@ -94,4 +65,51 @@ func AsyncLatency(cfg Config) (*Result, error) {
 			texttable.Float(sum.Max(), 0))
 	}
 	return &Result{ID: "ablation-asynclatency", Title: title, Table: table}, nil
+}
+
+// loadedEngine is the actor-engine trial recipe: the "node" backend over
+// a §5.1 deployment of n nodes drawn from src, and a concurrent insert
+// wave of perNode uniform events per sensor drained to completion.
+func loadedEngine(src *rng.Source, n, dims, perNode int) (*deploy.Universe, *node.Engine, error) {
+	layout, err := deploy.Layout(field.DefaultSpec(n), src)
+	if err != nil {
+		return nil, nil, err
+	}
+	u, err := deploy.NewUniverse(layout, sim.NewScheduler(), "node", dims, src.Fork("pivots"), nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	eng := u.Sys.(*node.Sync).Engine()
+	for _, pe := range GenerateEvents(layout, perNode, workload.NewUniformEvents(src.Fork("events"), dims)) {
+		if err := eng.Insert(pe.Origin, pe.Event, nil); err != nil {
+			return nil, nil, err
+		}
+	}
+	u.Sched.Run()
+	if errs := eng.Errors(); len(errs) > 0 {
+		return nil, nil, fmt.Errorf("async inserts: %v", errs[0])
+	}
+	return u, eng, nil
+}
+
+// asyncLatencies issues every query at once on eng, as a busy sink
+// population would, drains the scheduler, and returns each query's
+// end-to-end latency in ms in completion order.
+func asyncLatencies(u *deploy.Universe, eng *node.Engine, queries []PlacedQuery) ([]float64, error) {
+	lat := make([]float64, 0, len(queries))
+	for _, pq := range queries {
+		if err := eng.Query(pq.Sink, pq.Query, func(_ []event.Event, elapsed time.Duration) {
+			lat = append(lat, float64(elapsed.Milliseconds()))
+		}); err != nil {
+			return nil, err
+		}
+	}
+	u.Sched.Run()
+	if errs := eng.Errors(); len(errs) > 0 {
+		return nil, fmt.Errorf("async queries: %v", errs[0])
+	}
+	if len(lat) != len(queries) {
+		return nil, fmt.Errorf("%d of %d queries completed", len(lat), len(queries))
+	}
+	return lat, nil
 }

@@ -2,15 +2,9 @@ package experiment
 
 import (
 	"fmt"
-	"time"
 
-	"pooldcs/internal/deploy"
-	"pooldcs/internal/event"
-	"pooldcs/internal/field"
-	"pooldcs/internal/network"
 	"pooldcs/internal/node"
 	"pooldcs/internal/rng"
-	"pooldcs/internal/sim"
 	"pooldcs/internal/stats"
 	"pooldcs/internal/texttable"
 	"pooldcs/internal/workload"
@@ -40,56 +34,22 @@ func AsyncScale(cfg Config, sizes []int) (*Result, error) {
 	rows, err := forEach(cfg.parallel(), len(sizes), func(i int) (row, error) {
 		n := sizes[i]
 		src := rng.New(cfg.Seed + 9996 + int64(n))
-		layout, router, err := deploy.Substrate(field.DefaultSpec(n), src)
+		u, eng, err := loadedEngine(src, n, cfg.Dims, cfg.EventsPerNode)
 		if err != nil {
-			return row{}, err
+			return row{}, fmt.Errorf("n=%d: %w", n, err)
 		}
-		sched := sim.NewScheduler()
-		net := network.New(layout)
-		eng, err := node.NewEngine(net, router, sched, cfg.Dims, src.Fork("pivots"), nil)
+		r := row{drainMs: float64(u.Sched.Now().Milliseconds())}
+
+		queries := exact(workload.NewQueries(src.Fork("queries"), cfg.Dims), cfg.Queries, workload.ExponentialSizes)
+		before := queryMsgs(u.Net)
+		lat, err := asyncLatencies(u, eng, place(src.Fork("sinks"), n, queries))
 		if err != nil {
-			return row{}, err
+			return row{}, fmt.Errorf("n=%d: %w", n, err)
 		}
-
-		gen := workload.NewUniformEvents(src.Fork("events"), cfg.Dims)
-		for nd := 0; nd < layout.N(); nd++ {
-			for k := 0; k < cfg.EventsPerNode; k++ {
-				if err := eng.Insert(nd, gen.Next(), nil); err != nil {
-					return row{}, err
-				}
-			}
-		}
-		sched.Run()
-		if errs := eng.Errors(); len(errs) > 0 {
-			return row{}, fmt.Errorf("n=%d inserts: %v", n, errs[0])
-		}
-		r := row{drainMs: float64(sched.Now().Milliseconds())}
-
-		qgen := workload.NewQueries(src.Fork("queries"), cfg.Dims)
-		sinkSrc := src.Fork("sinks")
-		qmsgs := net.Messages(network.KindQuery) + net.Messages(network.KindReply)
-		lat := make([]float64, 0, cfg.Queries)
-		for q := 0; q < cfg.Queries; q++ {
-			query := qgen.ExactMatch(workload.ExponentialSizes)
-			err := eng.Query(sinkSrc.Intn(layout.N()), query, func(_ []event.Event, elapsed time.Duration) {
-				lat = append(lat, float64(elapsed.Milliseconds()))
-			})
-			if err != nil {
-				return row{}, err
-			}
-		}
-		sched.Run()
-		if errs := eng.Errors(); len(errs) > 0 {
-			return row{}, fmt.Errorf("n=%d queries: %v", n, errs[0])
-		}
-		if len(lat) != cfg.Queries {
-			return row{}, fmt.Errorf("n=%d: %d of %d queries completed", n, len(lat), cfg.Queries)
-		}
-		r.events = sched.Executed()
+		r.events = u.Sched.Executed()
 		r.p50 = stats.Percentile(lat, 50)
 		r.p95 = stats.Percentile(lat, 95)
-		qmsgs = net.Messages(network.KindQuery) + net.Messages(network.KindReply) - qmsgs
-		r.msgs = float64(qmsgs) / float64(cfg.Queries)
+		r.msgs = float64(queryMsgs(u.Net)-before) / float64(cfg.Queries)
 		return r, nil
 	})
 	if err != nil {

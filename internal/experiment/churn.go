@@ -14,7 +14,6 @@ import (
 	"pooldcs/internal/field"
 	"pooldcs/internal/geo"
 	"pooldcs/internal/metrics"
-	"pooldcs/internal/network"
 	"pooldcs/internal/node"
 	"pooldcs/internal/pool"
 	"pooldcs/internal/rng"
@@ -268,14 +267,13 @@ func Churn(cfg Config, churnPcts []int) (*Result, error) {
 						uq = pq
 						uOracle = pq.Rewrite().Filter(all)
 					}
-					before := u.Net.Snapshot()
+					before := queryMsgs(u.Net)
 					got, comp, err := u.Sys.QueryWithReport(sink, uq)
 					if err != nil && queryErr == nil {
 						queryErr = fmt.Errorf("churn %d%% query at %v: %w", pct, at, err)
 						return
 					}
-					d := u.Net.Diff(before)
-					u.msgs += d.Messages[network.KindQuery] + d.Messages[network.KindReply]
+					u.msgs += queryMsgs(u.Net) - before
 					u.sumRecall += event.Recall(got, uOracle)
 					u.sumComp += comp.Fraction()
 				}

@@ -3,7 +3,7 @@ package experiment
 import (
 	"fmt"
 
-	"pooldcs/internal/rng"
+	"pooldcs/internal/field"
 	"pooldcs/internal/texttable"
 	"pooldcs/internal/workload"
 )
@@ -21,18 +21,13 @@ func DimSweep(cfg Config, dims []int) (*Result, error) {
 
 	rows, err := forEach(cfg.parallel(), len(dims), func(ki int) ([4]float64, error) {
 		k := dims[ki]
-		src := rng.New(cfg.Seed + 9900 + int64(k))
-		env, err := NewEnv(cfg.PartialSize, k, src)
+		env, err := loadedEnv(cfg.Seed+9900+int64(k), field.DefaultSpec(cfg.PartialSize), k, cfg.EventsPerNode)
 		if err != nil {
 			return [4]float64{}, err
 		}
-		events := GenerateEvents(env.Layout, cfg.EventsPerNode, workload.NewUniformEvents(src.Fork("events"), k))
-		if err := env.InsertAll(events); err != nil {
-			return [4]float64{}, err
-		}
 
-		qgen := workload.NewQueries(src.Fork("queries"), k)
-		sinkSrc := src.Fork("sinks")
+		qgen := workload.NewQueries(env.src.Fork("queries"), k)
+		sinkSrc := env.src.Fork("sinks")
 		exact := make([]PlacedQuery, cfg.Queries)
 		partial := make([]PlacedQuery, cfg.Queries)
 		for i := range exact {

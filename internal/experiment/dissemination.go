@@ -4,11 +4,8 @@ import (
 	"fmt"
 
 	"pooldcs/internal/dim"
-	"pooldcs/internal/event"
 	"pooldcs/internal/network"
-	"pooldcs/internal/rng"
 	"pooldcs/internal/texttable"
-	"pooldcs/internal/workload"
 )
 
 // Dissemination compares the two DIM query-forwarding models (zone-order
@@ -20,8 +17,7 @@ func Dissemination(cfg Config) (*Result, error) {
 	title := fmt.Sprintf("DIM dissemination model ablation, N=%d (avg messages/query)", cfg.PartialSize)
 	table := texttable.New(title, "Query", "DIM(chain)", "DIM(split)", "Pool")
 
-	src := rng.New(cfg.Seed + 9700)
-	env, err := NewEnv(cfg.PartialSize, cfg.Dims, src)
+	env, placed, err := partialTrial(cfg, cfg.Seed+9700)
 	if err != nil {
 		return nil, err
 	}
@@ -30,47 +26,24 @@ func Dissemination(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	events := GenerateEvents(env.Layout, cfg.EventsPerNode, workload.NewUniformEvents(src.Fork("events"), cfg.Dims))
-	if err := env.InsertAll(events); err != nil {
-		return nil, err
-	}
-	for _, pe := range events {
+	for _, pe := range env.events {
 		if err := splitDIM.Insert(pe.Origin, pe.Event); err != nil {
 			return nil, err
 		}
 	}
 
-	qgen := workload.NewQueries(src.Fork("queries"), cfg.Dims)
-	sinkSrc := src.Fork("sinks")
-	bases := make([]event.Query, cfg.Queries)
-	sinks := make([]int, cfg.Queries)
-	for i := range bases {
-		q, err := qgen.MPartial(0)
-		if err != nil {
-			return nil, err
-		}
-		bases[i] = q
-		sinks[i] = sinkSrc.Intn(cfg.PartialSize)
-	}
-
 	for n := 1; n <= cfg.Dims; n++ {
 		queries := make([]PlacedQuery, cfg.Queries)
-		for i := range queries {
-			queries[i] = PlacedQuery{Sink: sinks[i], Query: blankOut(bases[i], []int{n - 1})}
+		for i, pq := range placed {
+			queries[i] = PlacedQuery{Sink: pq.Sink, Query: blankOut(pq.Query, []int{n - 1})}
 		}
 		poolAvg, chainAvg, err := env.QueryCosts(queries)
 		if err != nil {
 			return nil, fmt.Errorf("1@%d: %w", n, err)
 		}
-		var splitTotal uint64
-		for _, pq := range queries {
-			before := splitNet.Snapshot()
-			if _, err := splitDIM.Query(pq.Sink, pq.Query); err != nil {
-				return nil, fmt.Errorf("1@%d split: %w", n, err)
-			}
-			d := splitNet.Diff(before)
-			splitTotal += d.Messages[network.KindQuery] + d.Messages[network.KindReply]
+		splitTotal, err := queryPass("dim(split)", splitNet, splitDIM, queries, nil)
+		if err != nil {
+			return nil, fmt.Errorf("1@%d: %w", n, err)
 		}
 		table.AddRow(fmt.Sprintf("1@%d-Partial", n),
 			texttable.Float(chainAvg, 1),

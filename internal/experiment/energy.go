@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 
+	"pooldcs/internal/deploy"
 	"pooldcs/internal/event"
 	"pooldcs/internal/field"
 	"pooldcs/internal/metrics"
@@ -34,17 +35,11 @@ func Energy(cfg Config) (*Result, error) {
 	// One deployment, so parallelism comes from the concurrent pool/dim
 	// query passes; each pass writes only its own registry.
 	env.Workers = cfg.parallel()
-	events := GenerateEvents(env.Layout, cfg.EventsPerNode, workload.NewUniformEvents(src.Fork("events"), cfg.Dims))
-	if err := env.InsertAll(events); err != nil {
+	if err := env.load(src, cfg.Dims, cfg.EventsPerNode); err != nil {
 		return nil, err
 	}
-	qgen := workload.NewQueries(src.Fork("queries"), cfg.Dims)
-	sinkSrc := src.Fork("sinks")
-	queries := make([]PlacedQuery, cfg.Queries)
-	for i := range queries {
-		queries[i] = PlacedQuery{Sink: sinkSrc.Intn(cfg.PartialSize), Query: qgen.ExactMatch(workload.ExponentialSizes)}
-	}
-	if _, _, err := env.QueryCosts(queries); err != nil {
+	queries := exact(workload.NewQueries(src.Fork("queries"), cfg.Dims), cfg.Queries, workload.ExponentialSizes)
+	if _, _, err := env.QueryCosts(place(src.Fork("sinks"), cfg.PartialSize, queries)); err != nil {
 		return nil, err
 	}
 
@@ -68,21 +63,19 @@ func Fragmentation(cfg Config) (*Result, error) {
 	title := fmt.Sprintf("Aggregation under a %d-byte radio MTU, N=%d", mtu, cfg.PartialSize)
 	table := texttable.New(title, "Operation", "Frames", "ReplyBytes")
 
+	// The deployment draws from a "layout" fork of its own (one fork
+	// deeper than the other runners'), which the seeded table depends on.
 	src := rng.New(cfg.Seed + 9600)
-	layoutSrc := src.Fork("layout")
-	env, err := NewEnv(cfg.PartialSize, cfg.Dims, layoutSrc)
+	layout, router, err := deploy.Substrate(field.DefaultSpec(cfg.PartialSize), src.Fork("layout"))
 	if err != nil {
 		return nil, err
 	}
-	// Rebuild the Pool system over an MTU-limited network on the same
-	// deployment.
-	net := network.New(env.Layout, network.WithMTU(mtu))
-	sys, err := pool.New(net, env.Router, cfg.Dims, src.Fork("pivots"))
+	net := network.New(layout, network.WithMTU(mtu))
+	sys, err := pool.New(net, router, cfg.Dims, src.Fork("pivots"))
 	if err != nil {
 		return nil, err
 	}
-	events := GenerateEvents(env.Layout, cfg.EventsPerNode, workload.NewUniformEvents(src.Fork("events"), cfg.Dims))
-	for _, pe := range events {
+	for _, pe := range GenerateEvents(layout, cfg.EventsPerNode, workload.NewUniformEvents(src.Fork("events"), cfg.Dims)) {
 		if err := sys.Insert(pe.Origin, pe.Event); err != nil {
 			return nil, err
 		}
@@ -90,24 +83,18 @@ func Fragmentation(cfg Config) (*Result, error) {
 
 	q := event.NewQuery(event.Span(0, 1), event.Span(0, 1), event.Span(0, 1))
 	sink := src.Fork("sinks").Intn(cfg.PartialSize)
-
-	before := net.Snapshot()
-	if _, err := sys.Query(sink, q); err != nil {
-		return nil, err
+	for _, op := range []struct {
+		name string
+		run  func() error
+	}{
+		{"SELECT *", func() error { _, err := sys.Query(sink, q); return err }},
+		{"COUNT", func() error { _, err := sys.Aggregate(sink, q, pool.AggCount, 0); return err }},
+	} {
+		frames, bytes, err := replyCost(net, op.run)
+		if err != nil {
+			return nil, err
+		}
+		table.AddRow(op.name, texttable.Int(frames), texttable.Int(bytes))
 	}
-	diff := net.Diff(before)
-	table.AddRow("SELECT *",
-		texttable.Int(int(diff.Messages[network.KindQuery]+diff.Messages[network.KindReply])),
-		texttable.Int(int(diff.Bytes[network.KindReply])))
-
-	before = net.Snapshot()
-	if _, err := sys.Aggregate(sink, q, pool.AggCount, 0); err != nil {
-		return nil, err
-	}
-	diff = net.Diff(before)
-	table.AddRow("COUNT",
-		texttable.Int(int(diff.Messages[network.KindQuery]+diff.Messages[network.KindReply])),
-		texttable.Int(int(diff.Bytes[network.KindReply])))
-
 	return &Result{ID: "ablation-fragmentation", Title: title, Table: table}, nil
 }

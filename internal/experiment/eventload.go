@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 
+	"pooldcs/internal/field"
 	"pooldcs/internal/network"
 	"pooldcs/internal/rng"
 	"pooldcs/internal/texttable"
@@ -23,23 +24,13 @@ func EventLoad(cfg Config, perNode []int) (*Result, error) {
 
 	rows, err := forEach(cfg.parallel(), len(perNode), func(pi int) ([4]float64, error) {
 		per := perNode[pi]
-		src := rng.New(cfg.Seed + 9960 + int64(per))
-		env, err := NewEnv(cfg.PartialSize, cfg.Dims, src)
+		env, err := loadedEnv(cfg.Seed+9960+int64(per), field.DefaultSpec(cfg.PartialSize), cfg.Dims, per)
 		if err != nil {
 			return [4]float64{}, err
 		}
-		events := GenerateEvents(env.Layout, per, workload.NewUniformEvents(src.Fork("events"), cfg.Dims))
-		if err := env.InsertAll(events); err != nil {
-			return [4]float64{}, err
-		}
-
 		// Fixed query population across rows (same generator seed).
-		qsrc := workload.NewQueries(rng.New(cfg.Seed+557), cfg.Dims)
-		sinkSrc := src.Fork("sinks")
-		queries := make([]PlacedQuery, cfg.Queries)
-		for i := range queries {
-			queries[i] = PlacedQuery{Sink: sinkSrc.Intn(cfg.PartialSize), Query: qsrc.ExactMatch(workload.UniformSizes)}
-		}
+		population := exact(workload.NewQueries(rng.New(cfg.Seed+557), cfg.Dims), cfg.Queries, workload.UniformSizes)
+		queries := place(env.src.Fork("sinks"), cfg.PartialSize, population)
 
 		dimQBefore, dimRBefore := env.DIMNet.Messages(network.KindQuery), env.DIMNet.Messages(network.KindReply)
 		poolQBefore, poolRBefore := env.PoolNet.Messages(network.KindQuery), env.PoolNet.Messages(network.KindReply)

@@ -8,7 +8,6 @@ package experiment
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"pooldcs/internal/dcs"
@@ -131,6 +130,12 @@ type Env struct {
 	// planarized up front and then read-only.
 	Workers int
 
+	// src is the trial's source and events what load stored: runners
+	// draw their "queries"/"sinks" forks from src after the load, and
+	// replay events into any extra system they compare.
+	src    *rng.Source
+	events []PlacedEvent
+
 	// seqBuf is the reusable scratch map of sameEvents.
 	seqBuf map[uint64]int
 }
@@ -163,6 +168,35 @@ func newEnv(spec field.Spec, dims int, src *rng.Source, poolReg, dimReg *metrics
 		return nil, fmt.Errorf("experiment: %w", err)
 	}
 	return &Env{Layout: layout, Router: router, PoolNet: poolNet, DIMNet: dimNet, Pool: p, DIM: d}, nil
+}
+
+// loadedEnv is the trial recipe most runners share: seed a source, build
+// both systems over spec, and load perNode uniform events per sensor
+// into both.
+func loadedEnv(seed int64, spec field.Spec, dims, perNode int, poolOpts ...pool.Option) (*Env, error) {
+	src := rng.New(seed)
+	env, err := newEnv(spec, dims, src, nil, nil, poolOpts...)
+	if err != nil {
+		return nil, err
+	}
+	if err := env.load(src, dims, perNode); err != nil {
+		return nil, err
+	}
+	return env, nil
+}
+
+// load draws perNode uniform events per sensor from src's "events" fork,
+// inserts them into both systems, and keeps src and the events on e.
+func (e *Env) load(src *rng.Source, dims, perNode int) error {
+	e.src = src
+	e.events = GenerateEvents(e.Layout, perNode, workload.NewUniformEvents(src.Fork("events"), dims))
+	return e.InsertAll(e.events)
+}
+
+// insertCost is the insert messages per stored event that net carried
+// for the events load stored.
+func (e *Env) insertCost(net *network.Network) float64 {
+	return float64(net.Messages(network.KindInsert)) / float64(len(e.events))
 }
 
 // PlacedEvent is an event with its detecting sensor.
@@ -202,21 +236,48 @@ type PlacedQuery struct {
 	Query event.Query
 }
 
-// queryPass sends every query through one system and returns the total
-// query-processing traffic (query forwarding plus reply messages) the
-// pass cost, storing each result set into res. Only this system's
-// queries move this network's counters, so the whole-pass counter delta
-// equals the sum of the per-query deltas the sequential accounting took.
+// exact draws count exact-match queries with dist range sizes from gen.
+func exact(gen *workload.Queries, count int, dist workload.RangeSizeDist) []event.Query {
+	out := make([]event.Query, count)
+	for i := range out {
+		out[i] = gen.ExactMatch(dist)
+	}
+	return out
+}
+
+// place issues each query from a sink drawn uniformly among n nodes by
+// sinks, in query order.
+func place(sinks *rng.Source, n int, queries []event.Query) []PlacedQuery {
+	out := make([]PlacedQuery, len(queries))
+	for i, q := range queries {
+		out[i] = PlacedQuery{Sink: sinks.Intn(n), Query: q}
+	}
+	return out
+}
+
+// queryMsgs is the paper's metric read off one radio: its running count
+// of query forwarding plus reply messages. Runners take its difference
+// across the queries they measure.
+func queryMsgs(net *network.Network) uint64 {
+	return net.Messages(network.KindQuery) + net.Messages(network.KindReply)
+}
+
+// queryPass sends every query through one system and returns the
+// queryMsgs the pass cost, storing each result set into res (nil: drop
+// the results). Only this system's queries move this network's counters,
+// so the whole-pass delta equals the sum of the per-query deltas.
 func queryPass(name string, net *network.Network, sys dcs.System, queries []PlacedQuery, res [][]event.Event) (uint64, error) {
-	before := net.Messages(network.KindQuery) + net.Messages(network.KindReply)
+	before := queryMsgs(net)
 	for qi, pq := range queries {
 		r, err := sys.Query(pq.Sink, pq.Query)
 		if err != nil {
 			return 0, fmt.Errorf("%s query %d: %w", name, qi, err)
 		}
-		res[qi] = r
+		if res != nil {
+			res[qi] = r
+		}
 	}
-	return net.Messages(network.KindQuery) + net.Messages(network.KindReply) - before, nil
+	return queryMsgs(net) - before, nil
 }
 
 // QueryCosts runs the same queries through both systems and returns the
@@ -233,55 +294,39 @@ func queryPass(name string, net *network.Network, sys dcs.System, queries []Plac
 func (e *Env) QueryCosts(queries []PlacedQuery) (poolAvg, dimAvg float64, err error) {
 	poolRes := make([][]event.Event, len(queries))
 	dimRes := make([][]event.Event, len(queries))
-	var poolTotal, dimTotal uint64
-	if e.Workers > 1 && len(queries) > 0 {
-		if e.Layout.N() > 0 {
-			e.Router.PlanarNeighbors(0) // planarize before sharing
-		}
-		var wg sync.WaitGroup
-		wg.Add(1)
-		var dimErr error
-		go func() {
-			defer wg.Done()
-			dimTotal, dimErr = queryPass("dim", e.DIMNet, e.DIM, queries, dimRes)
-		}()
-		poolTotal, err = queryPass("pool", e.PoolNet, e.Pool, queries, poolRes)
-		wg.Wait()
-		if err == nil {
-			err = dimErr
-		}
-		if err != nil {
-			return 0, 0, err
-		}
-	} else {
-		if poolTotal, err = queryPass("pool", e.PoolNet, e.Pool, queries, poolRes); err != nil {
-			return 0, 0, err
-		}
-		if dimTotal, err = queryPass("dim", e.DIMNet, e.DIM, queries, dimRes); err != nil {
-			return 0, 0, err
-		}
+	if e.Workers > 1 && e.Layout.N() > 0 {
+		e.Router.PlanarNeighbors(0) // planarize before sharing
+	}
+	passes := []struct {
+		name string
+		net  *network.Network
+		sys  dcs.System
+		res  [][]event.Event
+	}{{"pool", e.PoolNet, e.Pool, poolRes}, {"dim", e.DIMNet, e.DIM, dimRes}}
+	totals, err := forEach(e.Workers, len(passes), func(i int) (uint64, error) {
+		p := passes[i]
+		return queryPass(p.name, p.net, p.sys, queries, p.res)
+	})
+	if err != nil {
+		return 0, 0, err
 	}
 	if e.seqBuf == nil {
 		e.seqBuf = make(map[uint64]int)
 	}
 	for qi := range queries {
-		if !sameEventsBuf(e.seqBuf, poolRes[qi], dimRes[qi]) {
+		if !sameEvents(e.seqBuf, poolRes[qi], dimRes[qi]) {
 			return 0, 0, fmt.Errorf("query %d (%v): pool returned %d events, dim %d — result sets differ",
 				qi, queries[qi].Query, len(poolRes[qi]), len(dimRes[qi]))
 		}
 	}
 	n := float64(len(queries))
-	return float64(poolTotal) / n, float64(dimTotal) / n, nil
+	return float64(totals[0]) / n, float64(totals[1]) / n, nil
 }
 
-// sameEvents compares result sets by sequence number.
-func sameEvents(a, b []event.Event) bool {
-	return sameEventsBuf(make(map[uint64]int, len(a)), a, b)
-}
-
-// sameEventsBuf is sameEvents with a caller-owned scratch map, cleared on
-// entry, so per-query comparisons in hot loops allocate nothing.
-func sameEventsBuf(seen map[uint64]int, a, b []event.Event) bool {
+// sameEvents compares result sets by sequence number, using a
+// caller-owned scratch map (cleared on entry) so per-query comparisons
+// in hot loops allocate nothing.
+func sameEvents(seen map[uint64]int, a, b []event.Event) bool {
 	if len(a) != len(b) {
 		return false
 	}

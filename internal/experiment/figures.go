@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"pooldcs/internal/event"
+	"pooldcs/internal/field"
 	"pooldcs/internal/rng"
 	"pooldcs/internal/texttable"
 	"pooldcs/internal/workload"
@@ -22,33 +23,17 @@ func Fig6(cfg Config, dist workload.RangeSizeDist) (*Result, error) {
 
 	// One query population shared by every network size (common random
 	// numbers), so the series reflects scaling rather than draw noise.
-	qgen := workload.NewQueries(rng.New(cfg.Seed+555), cfg.Dims)
-	population := make([]event.Query, cfg.Queries)
-	for i := range population {
-		population[i] = qgen.ExactMatch(dist)
-	}
+	population := exact(workload.NewQueries(rng.New(cfg.Seed+555), cfg.Dims), cfg.Queries, dist)
 
 	// Each network size is an independent trial with its own seed, so the
 	// sizes fan out across workers and the rows land in sweep order.
 	rows, err := forEach(cfg.parallel(), len(cfg.NetworkSizes), func(i int) ([2]float64, error) {
 		n := cfg.NetworkSizes[i]
-		src := rng.New(cfg.Seed + int64(n))
-		env, err := NewEnv(n, cfg.Dims, src)
+		env, err := loadedEnv(cfg.Seed+int64(n), field.DefaultSpec(n), cfg.Dims, cfg.EventsPerNode)
 		if err != nil {
 			return [2]float64{}, err
 		}
-		events := GenerateEvents(env.Layout, cfg.EventsPerNode, workload.NewUniformEvents(src.Fork("events"), cfg.Dims))
-		if err := env.InsertAll(events); err != nil {
-			return [2]float64{}, err
-		}
-
-		sinkSrc := src.Fork("sinks")
-		queries := make([]PlacedQuery, cfg.Queries)
-		for i := range queries {
-			queries[i] = PlacedQuery{Sink: sinkSrc.Intn(n), Query: population[i]}
-		}
-
-		poolAvg, dimAvg, err := env.QueryCosts(queries)
+		poolAvg, dimAvg, err := env.QueryCosts(place(env.src.Fork("sinks"), n, population))
 		if err != nil {
 			return [2]float64{}, fmt.Errorf("n=%d: %w", n, err)
 		}
@@ -69,41 +54,31 @@ func Fig7a(cfg Config) (*Result, error) {
 	title := fmt.Sprintf("Figure 7(a) — partial match query cost by unspecified dimensions, N=%d (avg messages/query)", cfg.PartialSize)
 	table := texttable.New(title, "Query", "DIM", "Pool")
 
-	src := rng.New(cfg.Seed + 7001)
-	env, err := NewEnv(cfg.PartialSize, cfg.Dims, src)
+	env, err := loadedEnv(cfg.Seed+7001, field.DefaultSpec(cfg.PartialSize), cfg.Dims, cfg.EventsPerNode)
 	if err != nil {
 		return nil, err
 	}
 	// The rows share one deployment, so parallelism comes from running
 	// the pool and dim passes of each row concurrently.
 	env.Workers = cfg.parallel()
-	events := GenerateEvents(env.Layout, cfg.EventsPerNode, workload.NewUniformEvents(src.Fork("events"), cfg.Dims))
-	if err := env.InsertAll(events); err != nil {
-		return nil, err
-	}
 
 	// Paired design: every m-partial row blanks out attributes of the same
 	// fully specified base queries, so rows differ only in m.
-	qgen := workload.NewQueries(src.Fork("queries"), cfg.Dims)
-	wildSrc := src.Fork("wild")
-	sinkSrc := src.Fork("sinks")
-	bases := make([]event.Query, cfg.Queries)
-	sinks := make([]int, cfg.Queries)
+	bases, err := specified(workload.NewQueries(env.src.Fork("queries"), cfg.Dims), cfg.Queries)
+	if err != nil {
+		return nil, err
+	}
+	wildSrc := env.src.Fork("wild")
 	wildOrder := make([][]int, cfg.Queries)
-	for i := range bases {
-		q, err := qgen.MPartial(0)
-		if err != nil {
-			return nil, err
-		}
-		bases[i] = q
-		sinks[i] = sinkSrc.Intn(cfg.PartialSize)
+	for i := range wildOrder {
 		wildOrder[i] = wildSrc.Perm(cfg.Dims)
 	}
+	placed := place(env.src.Fork("sinks"), cfg.PartialSize, bases)
 
 	for m := 1; m < cfg.Dims; m++ {
 		queries := make([]PlacedQuery, cfg.Queries)
-		for i := range queries {
-			queries[i] = PlacedQuery{Sink: sinks[i], Query: blankOut(bases[i], wildOrder[i][:m])}
+		for i, pq := range placed {
+			queries[i] = PlacedQuery{Sink: pq.Sink, Query: blankOut(pq.Query, wildOrder[i][:m])}
 		}
 		poolAvg, dimAvg, err := env.QueryCosts(queries)
 		if err != nil {
@@ -112,6 +87,20 @@ func Fig7a(cfg Config) (*Result, error) {
 		table.AddRow(fmt.Sprintf("%d-Partial", m), texttable.Float(dimAvg, 1), texttable.Float(poolAvg, 1))
 	}
 	return &Result{ID: "fig7a", Title: title, Table: table}, nil
+}
+
+// specified draws count fully specified base queries (0-partial) from
+// gen, for the paired designs that blank attributes out row by row.
+func specified(gen *workload.Queries, count int) ([]event.Query, error) {
+	out := make([]event.Query, count)
+	for i := range out {
+		q, err := gen.MPartial(0)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = q
+	}
+	return out, nil
 }
 
 // blankOut returns the query with the given 0-based attributes made
@@ -132,38 +121,18 @@ func Fig7b(cfg Config) (*Result, error) {
 	// costs: the zones/cells each system must visit per query.
 	table := texttable.New(title, "Query", "DIM", "Pool", "DIMZones", "PoolCells")
 
-	src := rng.New(cfg.Seed + 7002)
-	env, err := NewEnv(cfg.PartialSize, cfg.Dims, src)
+	env, placed, err := partialTrial(cfg, cfg.Seed+7002)
 	if err != nil {
 		return nil, err
 	}
 	env.Workers = cfg.parallel()
-	events := GenerateEvents(env.Layout, cfg.EventsPerNode, workload.NewUniformEvents(src.Fork("events"), cfg.Dims))
-	if err := env.InsertAll(events); err != nil {
-		return nil, err
-	}
-
-	// Paired design: the three 1@n rows share the same base queries and
-	// sinks, differing only in which attribute is blanked out.
-	qgen := workload.NewQueries(src.Fork("queries"), cfg.Dims)
-	sinkSrc := src.Fork("sinks")
-	bases := make([]event.Query, cfg.Queries)
-	sinks := make([]int, cfg.Queries)
-	for i := range bases {
-		q, err := qgen.MPartial(0)
-		if err != nil {
-			return nil, err
-		}
-		bases[i] = q
-		sinks[i] = sinkSrc.Intn(cfg.PartialSize)
-	}
 
 	for n := 1; n <= cfg.Dims; n++ {
 		queries := make([]PlacedQuery, cfg.Queries)
 		var zoneCount, cellCount int
-		for i := range queries {
-			q := blankOut(bases[i], []int{n - 1})
-			queries[i] = PlacedQuery{Sink: sinks[i], Query: q}
+		for i, pq := range placed {
+			q := blankOut(pq.Query, []int{n - 1})
+			queries[i] = PlacedQuery{Sink: pq.Sink, Query: q}
 			zoneCount += len(env.DIM.RelevantZones(q))
 			for _, cells := range env.Pool.RelevantCells(q) {
 				cellCount += len(cells)
@@ -179,4 +148,20 @@ func Fig7b(cfg Config) (*Result, error) {
 			texttable.Float(float64(zoneCount)/nq, 1), texttable.Float(float64(cellCount)/nq, 1))
 	}
 	return &Result{ID: "fig7b", Title: title, Table: table}, nil
+}
+
+// partialTrial is the Figure 7(b) trial, shared with the dissemination
+// ablation: a loaded N=PartialSize deployment and fully specified base
+// queries with their sinks. Paired design: every 1@n row blanks one
+// attribute out of the same bases, so rows differ only in which.
+func partialTrial(cfg Config, seed int64) (*Env, []PlacedQuery, error) {
+	env, err := loadedEnv(seed, field.DefaultSpec(cfg.PartialSize), cfg.Dims, cfg.EventsPerNode)
+	if err != nil {
+		return nil, nil, err
+	}
+	bases, err := specified(workload.NewQueries(env.src.Fork("queries"), cfg.Dims), cfg.Queries)
+	if err != nil {
+		return nil, nil, err
+	}
+	return env, place(env.src.Fork("sinks"), cfg.PartialSize, bases), nil
 }

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"pooldcs/internal/event"
-	"pooldcs/internal/rng"
+	"pooldcs/internal/field"
 	"pooldcs/internal/stats"
 	"pooldcs/internal/texttable"
 	"pooldcs/internal/workload"
@@ -20,18 +20,13 @@ func Latency(cfg Config) (*Result, error) {
 	title := fmt.Sprintf("Query latency in critical-path hops, N=%d", cfg.PartialSize)
 	table := texttable.New(title, "Workload", "DIM mean", "DIM p95", "Pool mean", "Pool p95")
 
-	src := rng.New(cfg.Seed + 9990)
-	env, err := NewEnv(cfg.PartialSize, cfg.Dims, src)
+	env, err := loadedEnv(cfg.Seed+9990, field.DefaultSpec(cfg.PartialSize), cfg.Dims, cfg.EventsPerNode)
 	if err != nil {
 		return nil, err
 	}
-	events := GenerateEvents(env.Layout, cfg.EventsPerNode, workload.NewUniformEvents(src.Fork("events"), cfg.Dims))
-	if err := env.InsertAll(events); err != nil {
-		return nil, err
-	}
 
-	qgen := workload.NewQueries(src.Fork("queries"), cfg.Dims)
-	sinkSrc := src.Fork("sinks")
+	qgen := workload.NewQueries(env.src.Fork("queries"), cfg.Dims)
+	sinkSrc := env.src.Fork("sinks")
 	kinds := []struct {
 		name string
 		gen  func() (event.Query, error)

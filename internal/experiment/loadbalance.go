@@ -94,12 +94,8 @@ func LoadBalance(cfg Config) (*Result, error) {
 	// over workers through the shared, planarized read-only router.
 	gen := workload.NewHotspotEvents(src.Fork("events"), hotspotCenter(cfg.Dims), 0.02)
 	events := GenerateEvents(layout, cfg.EventsPerNode, gen)
-	qgen := workload.NewQueries(src.Fork("queries"), cfg.Dims)
-	sinkSrc := src.Fork("sinks")
-	queries := make([]PlacedQuery, cfg.Queries)
-	for qi := range queries {
-		queries[qi] = PlacedQuery{Sink: sinkSrc.Intn(cfg.PartialSize), Query: qgen.ExactMatch(workload.ExponentialSizes)}
-	}
+	queries := exact(workload.NewQueries(src.Fork("queries"), cfg.Dims), cfg.Queries, workload.ExponentialSizes)
+	placed := place(src.Fork("sinks"), cfg.PartialSize, queries)
 	router.PlanarNeighbors(0)
 	if _, err := forEach(cfg.parallel(), len(universes), func(ui int) (struct{}, error) {
 		u := universes[ui]
@@ -108,7 +104,7 @@ func LoadBalance(cfg Config) (*Result, error) {
 				return struct{}{}, fmt.Errorf("loadbalance: %s insert: %w", u.name, err)
 			}
 		}
-		for qi, pq := range queries {
+		for qi, pq := range placed {
 			if _, err := u.sys.Query(pq.Sink, pq.Query); err != nil {
 				return struct{}{}, fmt.Errorf("loadbalance: %s query %d: %w", u.name, qi, err)
 			}

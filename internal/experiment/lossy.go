@@ -53,17 +53,11 @@ func Lossy(cfg Config, rates []float64) (*Result, error) {
 			return [2]float64{}, err
 		}
 		env := &Env{Layout: layout, Router: router, PoolNet: poolNet, DIMNet: dimNet, Pool: ps, DIM: ds}
-		events := GenerateEvents(env.Layout, cfg.EventsPerNode, workload.NewUniformEvents(src.Fork("events"), cfg.Dims))
-		if err := env.InsertAll(events); err != nil {
+		if err := env.load(src, cfg.Dims, cfg.EventsPerNode); err != nil {
 			return [2]float64{}, err
 		}
-		qgen := workload.NewQueries(src.Fork("queries"), cfg.Dims)
-		sinkSrc := src.Fork("sinks")
-		queries := make([]PlacedQuery, cfg.Queries)
-		for qi := range queries {
-			queries[qi] = PlacedQuery{Sink: sinkSrc.Intn(cfg.PartialSize), Query: qgen.ExactMatch(workload.ExponentialSizes)}
-		}
-		poolAvg, dimAvg, err := env.QueryCosts(queries)
+		queries := exact(workload.NewQueries(src.Fork("queries"), cfg.Dims), cfg.Queries, workload.ExponentialSizes)
+		poolAvg, dimAvg, err := env.QueryCosts(place(src.Fork("sinks"), cfg.PartialSize, queries))
 		if err != nil {
 			return [2]float64{}, fmt.Errorf("p=%v: %w", p, err)
 		}

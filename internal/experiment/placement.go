@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"pooldcs/internal/field"
-	"pooldcs/internal/network"
-	"pooldcs/internal/rng"
 	"pooldcs/internal/texttable"
 	"pooldcs/internal/workload"
 )
@@ -32,29 +30,16 @@ func Placement(cfg Config) (*Result, error) {
 
 	rows, err := forEach(cfg.parallel(), len(variants), func(vi int) ([4]float64, error) {
 		v := variants[vi]
-		src := rng.New(cfg.Seed + 9950)
-		env, err := newEnv(v.spec, cfg.Dims, src, nil, nil)
+		env, err := loadedEnv(cfg.Seed+9950, v.spec, cfg.Dims, cfg.EventsPerNode)
 		if err != nil {
 			return [4]float64{}, fmt.Errorf("%s: %w", v.name, err)
 		}
-		events := GenerateEvents(env.Layout, cfg.EventsPerNode, workload.NewUniformEvents(src.Fork("events"), cfg.Dims))
-		if err := env.InsertAll(events); err != nil {
-			return [4]float64{}, fmt.Errorf("%s: %w", v.name, err)
-		}
-		dimIns := float64(env.DIMNet.Messages(network.KindInsert)) / float64(len(events))
-		poolIns := float64(env.PoolNet.Messages(network.KindInsert)) / float64(len(events))
-
-		qgen := workload.NewQueries(src.Fork("queries"), cfg.Dims)
-		sinkSrc := src.Fork("sinks")
-		queries := make([]PlacedQuery, cfg.Queries)
-		for i := range queries {
-			queries[i] = PlacedQuery{Sink: sinkSrc.Intn(cfg.PartialSize), Query: qgen.ExactMatch(workload.ExponentialSizes)}
-		}
-		poolAvg, dimAvg, err := env.QueryCosts(queries)
+		queries := exact(workload.NewQueries(env.src.Fork("queries"), cfg.Dims), cfg.Queries, workload.ExponentialSizes)
+		poolAvg, dimAvg, err := env.QueryCosts(place(env.src.Fork("sinks"), cfg.PartialSize, queries))
 		if err != nil {
 			return [4]float64{}, fmt.Errorf("%s: %w", v.name, err)
 		}
-		return [4]float64{dimAvg, poolAvg, dimIns, poolIns}, nil
+		return [4]float64{dimAvg, poolAvg, env.insertCost(env.DIMNet), env.insertCost(env.PoolNet)}, nil
 	})
 	if err != nil {
 		return nil, err

@@ -59,25 +59,14 @@ func Resilience(cfg Config, failPcts []int) (*Result, error) {
 		}
 
 		// Kill the same random nodes in both systems.
-		killSrc := src.Fork("kills")
-		toKill := cfg.PartialSize * pct / 100
-		killed := make(map[int]bool, toKill)
-		for len(killed) < toKill {
-			v := killSrc.Intn(cfg.PartialSize)
-			if killed[v] {
-				continue
-			}
-			killed[v] = true
+		sink, err := killPct(src.Fork("kills"), cfg.PartialSize, pct, func(v int) error {
 			if err := env.Pool.FailNode(v); err != nil {
-				return row{}, err
+				return err
 			}
-			if err := repl.FailNode(v); err != nil {
-				return row{}, err
-			}
-		}
-		sink := 0
-		for killed[sink] {
-			sink++
+			return repl.FailNode(v)
+		})
+		if err != nil {
+			return row{}, err
 		}
 
 		full := event.NewQuery(event.Span(0, 1), event.Span(0, 1), event.Span(0, 1))
@@ -150,24 +139,9 @@ func resilienceNode(cfg Config, failPcts []int) (*Result, error) {
 			}
 		}
 
-		killSrc := src.Fork("kills")
-		toKill := cfg.PartialSize * pct / 100
-		killed := make(map[int]bool, toKill)
-		for len(killed) < toKill {
-			v := killSrc.Intn(cfg.PartialSize)
-			if killed[v] {
-				continue
-			}
-			killed[v] = true
-			u.Router.Exclude(v)
-			u.Net.FailNode(v)
-			if err := sys.FailNode(v); err != nil {
-				return row{}, err
-			}
-		}
-		sink := 0
-		for killed[sink] {
-			sink++
+		sink, err := killPct(src.Fork("kills"), cfg.PartialSize, pct, u.CrashDetected)
+		if err != nil {
+			return row{}, err
 		}
 
 		full := event.NewQuery(event.Span(0, 1), event.Span(0, 1), event.Span(0, 1))
@@ -197,4 +171,26 @@ func resilienceNode(cfg Config, failPcts []int) (*Result, error) {
 			texttable.Int(int(rows[i].p95)))
 	}
 	return &Result{ID: "ablation-resilience", Title: title, Table: table}, nil
+}
+
+// killPct fails pct percent of the n nodes, distinct victims drawn from
+// kills in order, through fail, and returns the lowest surviving node as
+// the sink.
+func killPct(kills *rng.Source, n, pct int, fail func(v int) error) (sink int, err error) {
+	toKill := n * pct / 100
+	killed := make(map[int]bool, toKill)
+	for len(killed) < toKill {
+		v := kills.Intn(n)
+		if killed[v] {
+			continue
+		}
+		killed[v] = true
+		if err := fail(v); err != nil {
+			return 0, err
+		}
+	}
+	for killed[sink] {
+		sink++
+	}
+	return sink, nil
 }

@@ -253,15 +253,6 @@ func (r *Router) Route(src int, target geo.Point) (Result, error) {
 	return r.route(src, target, -1, nil)
 }
 
-// RouteBuf is Route with a caller-provided path buffer: the returned
-// Result.Path reuses buf's backing array, so steady-state routing
-// allocates only when the path outgrows the buffer. The caller owns the
-// buffer and must not issue another buffered route while the result's
-// path is still in use.
-func (r *Router) RouteBuf(src int, target geo.Point, buf []int) (Result, error) {
-	return r.route(src, target, -1, buf)
-}
-
 // route implements Route. When consumeAt is non-negative, the packet is
 // addressed to that specific node and is consumed on arrival there instead
 // of probing the perimeter around its location. buf, when non-nil, backs
@@ -428,8 +419,11 @@ func (r *Router) RouteToNode(src, dst int) (Result, error) {
 	return r.RouteToNodeBuf(src, dst, nil)
 }
 
-// RouteToNodeBuf is RouteToNode with a caller-provided path buffer; see
-// RouteBuf for the aliasing contract.
+// RouteToNodeBuf is RouteToNode with a caller-provided path buffer: the
+// returned Result.Path reuses buf's backing array, so steady-state
+// routing allocates only when the path outgrows the buffer. The caller
+// owns the buffer and must not issue another buffered route while the
+// result's path is still in use.
 func (r *Router) RouteToNodeBuf(src, dst int, buf []int) (Result, error) {
 	r.ensurePlanar()
 	if dst >= 0 && dst < len(r.excluded) && r.excluded[dst] {

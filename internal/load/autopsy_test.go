@@ -1,6 +1,7 @@
 package load
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"pooldcs/internal/metrics"
 	"pooldcs/internal/rng"
 	"pooldcs/internal/sim"
+	"pooldcs/internal/stats"
 	"pooldcs/internal/trace"
 )
 
@@ -199,5 +201,36 @@ func TestAutopsyMetricsFamilies(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %s:\n%s", want, out)
 		}
+	}
+}
+
+// TestBurnRatesSkipQueryFreeWindows pins the burn-rate window rule: a
+// window without query traffic has no verdict, so a quiet stretch
+// before the queries start does not dilute the slow burn.
+func TestBurnRatesSkipQueryFreeWindows(t *testing.T) {
+	slo := SLO{Window: time.Second, P99: 100 * time.Millisecond, Budget: 0.05}
+	windows := map[int64]*stats.IntHistogram{}
+	for w, ms := range map[int64]int64{10: 50, 11: 500, 12: 50, 19: 900} {
+		windows[w] = stats.NewIntHistogram()
+		windows[w].Add(ms)
+	}
+	breached := slo.Breaches(windows)
+	if want := []bool{false, true, false, true}; !reflect.DeepEqual(breached, want) {
+		t.Fatalf("Breaches = %v, want %v", breached, want)
+	}
+	fast, slow := slo.BurnRates(breached)
+	if fast != 10 || slow != 10 {
+		t.Errorf("burn fast %g slow %g, want 10 and 10 (2 of 4 verdicts over a 5%% budget)", fast, slow)
+	}
+	more := append(breached, false, false, false, false)
+	fast, slow = slo.BurnRates(more)
+	if want := float64(1) / 6 / 0.05; fast != want {
+		t.Errorf("fast burn %g over the last six verdicts, want %g", fast, want)
+	}
+	if want := float64(2) / 8 / 0.05; slow != want {
+		t.Errorf("slow burn %g, want %g", slow, want)
+	}
+	if fast, slow := slo.BurnRates(nil); fast != 0 || slow != 0 {
+		t.Errorf("no verdicts: burn %g/%g, want 0/0", fast, slow)
 	}
 }

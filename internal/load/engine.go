@@ -280,11 +280,8 @@ func (e *Engine) EnableMetrics(reg *metrics.Registry) {
 }
 
 // exemplarsPerWindow caps how many worst offenders a breached window
-// snapshots; burnFastWindows is the fast burn rate's lookback.
-const (
-	exemplarsPerWindow = 2
-	burnFastWindows    = 6
-)
+// snapshots.
+const exemplarsPerWindow = 2
 
 // EnableAutopsy attaches a causal tracer — typically a bounded ring
 // from trace.NewRing, the always-on flight recorder — and turns on
@@ -324,12 +321,7 @@ func (e *Engine) EnableAutopsyMetrics(reg *metrics.Registry) {
 	e.mPhase = reg.CounterVec("attrib_phase_ms_total",
 		"latency mass attributed to each phase across captured exemplars (ms)", "phase", phases)
 	e.mExemplars = reg.Counter("attrib_exemplars_total", "worst offenders captured from breached SLO windows")
-	reg.GaugeFunc("slo_burn_fast",
-		"breached-window fraction over the last 6 windows divided by the error budget",
-		func() float64 { return e.rep.BurnFast })
-	reg.GaugeFunc("slo_burn_slow",
-		"breached-window fraction over the whole run divided by the error budget",
-		func() float64 { return e.rep.BurnSlow })
+	RegisterBurnRates(reg, func() float64 { return e.rep.BurnFast }, func() float64 { return e.rep.BurnSlow })
 }
 
 // weight returns a class's mix weight.
@@ -604,38 +596,17 @@ func (e *Engine) finishSLO() {
 		e.captureWindow(e.curWidx)
 		e.curWidx = -1
 	}
-	target := int64(e.cfg.SLO.P99 / time.Millisecond)
-	idxs := make([]int64, 0, len(e.windows))
-	for idx := range e.windows {
-		idxs = append(idxs, idx)
-	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	breached := make([]bool, 0, len(idxs))
-	for _, idx := range idxs {
+	breached := e.cfg.SLO.Breaches(e.windows)
+	for _, b := range breached {
 		e.rep.SLOWindows++
 		e.mSLOTotal.Inc()
-		if e.windows[idx].Quantile(99) <= target {
-			e.rep.SLOOK++
-			breached = append(breached, false)
-		} else {
+		if b {
 			e.mSLOBad.Inc()
-			breached = append(breached, true)
+		} else {
+			e.rep.SLOOK++
 		}
 	}
-	if n := len(breached); n > 0 && e.cfg.SLO.Budget > 0 {
-		fast := breached
-		if n > burnFastWindows {
-			fast = breached[n-burnFastWindows:]
-		}
-		bad := 0
-		for _, b := range fast {
-			if b {
-				bad++
-			}
-		}
-		e.rep.BurnFast = float64(bad) / float64(len(fast)) / e.cfg.SLO.Budget
-		e.rep.BurnSlow = float64(n-e.rep.SLOOK) / float64(n) / e.cfg.SLO.Budget
-	}
+	e.rep.BurnFast, e.rep.BurnSlow = e.cfg.SLO.BurnRates(breached)
 }
 
 // stationIDs returns the admission-controller station ids in sorted

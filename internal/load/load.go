@@ -15,10 +15,12 @@ package load
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"pooldcs/internal/attrib"
 	"pooldcs/internal/event"
+	"pooldcs/internal/metrics"
 	"pooldcs/internal/stats"
 )
 
@@ -109,6 +111,56 @@ type SLO struct {
 // error budget.
 var DefaultSLO = SLO{Window: 2 * time.Second, P99: 500 * time.Millisecond, Budget: 0.05}
 
+// burnFastWindows is the fast burn rate's lookback in verdicts.
+const burnFastWindows = 6
+
+// Breaches returns the verdict of every window that saw query traffic,
+// in window order: true when the window's query p99 exceeds s.P99. A
+// window with no queries has no verdict, so an insert-only stretch of a
+// run neither burns nor earns error budget.
+func (s SLO) Breaches(windows map[int64]*stats.IntHistogram) []bool {
+	idxs := make([]int64, 0, len(windows))
+	for idx := range windows {
+		idxs = append(idxs, idx)
+	}
+	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
+	target := int64(s.P99 / time.Millisecond)
+	breached := make([]bool, len(idxs))
+	for i, idx := range idxs {
+		breached[i] = windows[idx].Quantile(99) > target
+	}
+	return breached
+}
+
+// BurnRates is the burn-rate rule: the breached fraction of the last
+// burnFastWindows verdicts (fast) and of all verdicts (slow), each
+// divided by s.Budget. Both are zero without verdicts or budget.
+func (s SLO) BurnRates(breached []bool) (fast, slow float64) {
+	n := len(breached)
+	if n == 0 || s.Budget <= 0 {
+		return 0, 0
+	}
+	frac := func(v []bool) float64 {
+		bad := 0
+		for _, b := range v {
+			if b {
+				bad++
+			}
+		}
+		return float64(bad) / float64(len(v))
+	}
+	return frac(breached[max(0, n-burnFastWindows):]) / s.Budget, frac(breached) / s.Budget
+}
+
+// RegisterBurnRates exports the two burn rates as the slo_burn_fast and
+// slo_burn_slow gauges on reg, read from fast and slow at snapshot time.
+func RegisterBurnRates(reg *metrics.Registry, fast, slow func() float64) {
+	reg.GaugeFunc("slo_burn_fast",
+		"breached-window fraction over the last 6 windows with queries divided by the error budget", fast)
+	reg.GaugeFunc("slo_burn_slow",
+		"breached-window fraction over every window with queries divided by the error budget", slow)
+}
+
 // Exemplar is one worst-offender query captured when an SLO window
 // closed in breach: its attributed latency breakdown is the evidence
 // for why that window's tail was slow.
@@ -174,10 +226,11 @@ type Report struct {
 	// Exemplars holds the worst offenders of breached SLO windows, in
 	// window order (autopsy runs only).
 	Exemplars []Exemplar
-	// BurnFast and BurnSlow are the multi-window burn rates: the
-	// breached-window fraction over the last few windows (fast — pages
-	// when a regression is in progress) and over the whole run (slow —
-	// tracks budget exhaustion), each divided by the error budget.
+	// BurnFast and BurnSlow are the multi-window burn rates
+	// (SLO.BurnRates): the breached-window fraction over the last few
+	// windows with query traffic (fast — pages when a regression is in
+	// progress) and over all of them (slow — tracks budget exhaustion),
+	// each divided by the error budget.
 	BurnFast, BurnSlow float64
 }
 

@@ -11,7 +11,7 @@ import (
 func buildRegistry() *Registry {
 	r := New()
 	r.Counter("net_messages_total", "total messages").Add(7)
-	r.Gauge("pool_delegations", "active delegations").Set(2.5)
+	r.GaugeFunc("pool_delegations", "active delegations", func() float64 { return 2.5 })
 	cv := r.NodeCounter("net_tx_frames_total", "frames sent per node", 3)
 	cv.Add(0, 4)
 	cv.Add(2, 1)

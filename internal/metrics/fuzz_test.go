@@ -17,7 +17,7 @@ func FuzzExpositionWrite(f *testing.F) {
 	f.Fuzz(func(t *testing.T, name, help, labelValue string, v float64, obs int64) {
 		r := New()
 		r.Counter(name, help).Add(7)
-		r.Gauge(name+"_g", help).Set(v)
+		r.GaugeFunc(name+"_g", help, func() float64 { return v })
 		gv := r.GaugeVec(name+"_vec", help, "zone", []string{labelValue, "fixed"})
 		gv.Set(0, v)
 		h := r.Histogram(name+"_hist", help)

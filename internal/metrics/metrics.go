@@ -89,38 +89,18 @@ func (c *Counter) Value() float64 {
 	return float64(c.v)
 }
 
-// Gauge is an instantaneous value. The nil Gauge is disabled.
+// Gauge is an instantaneous value read from a callback the subsystem
+// owns. The nil Gauge is disabled.
 type Gauge struct {
-	v  float64
 	fn func() float64
 }
 
-// Set replaces the value.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.v = v
-}
-
-// Add shifts the value by d (negative d decreases it).
-func (g *Gauge) Add(d float64) {
-	if g == nil {
-		return
-	}
-	g.v += d
-}
-
-// Value returns the current value. Function-backed gauges evaluate
-// their callback.
+// Value evaluates the gauge's callback.
 func (g *Gauge) Value() float64 {
 	if g == nil {
 		return 0
 	}
-	if g.fn != nil {
-		return g.fn()
-	}
-	return g.v
+	return g.fn()
 }
 
 // Histogram records a distribution of integer observations (hop counts,
@@ -368,18 +348,6 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64) *Counter {
 		e.counter = &Counter{fn: fn}
 	}
 	return e.counter
-}
-
-// Gauge registers (or finds) a gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	e, fresh := r.register(name, help, KindGauge)
-	if fresh {
-		e.gauge = &Gauge{}
-	}
-	return e.gauge
 }
 
 // GaugeFunc registers a gauge read from fn at snapshot and sample time.

@@ -16,15 +16,13 @@ func TestDisabledRegistryIsInert(t *testing.T) {
 		t.Fatal("nil registry reports enabled")
 	}
 	c := r.Counter("c", "")
-	g := r.Gauge("g", "")
+	g := r.GaugeFunc("g", "", func() float64 { return 3 })
 	h := r.Histogram("h", "")
 	cv := r.NodeCounter("cv", "", 4)
 	gv := r.GaugeVec("gv", "", "node", NodeLabels(4))
 	gf := r.NodeGaugeFunc("gf", "", 4, func(int) float64 { return 7 })
 	c.Inc()
 	c.Add(5)
-	g.Set(3)
-	g.Add(-1)
 	h.Observe(9)
 	cv.Inc(2)
 	cv.Add(1, 10)
@@ -55,12 +53,6 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	c.Add(4)
 	if got := c.Value(); got != 5 {
 		t.Fatalf("counter = %v, want 5", got)
-	}
-	g := r.Gauge("depth", "")
-	g.Set(10)
-	g.Add(-3)
-	if got := g.Value(); got != 7 {
-		t.Fatalf("gauge = %v, want 7", got)
 	}
 	h := r.Histogram("lat_ms", "")
 	for _, v := range []int64{1, 2, 2, 3, 100} {
@@ -130,7 +122,7 @@ func TestIdempotentRegistration(t *testing.T) {
 			t.Fatal("kind mismatch did not panic")
 		}
 	}()
-	r.Gauge("x_total", "")
+	r.GaugeFunc("x_total", "", func() float64 { return 0 })
 }
 
 func TestHistogramOf(t *testing.T) {
@@ -199,7 +191,7 @@ func TestSamplingOnScheduler(t *testing.T) {
 func TestSampleScalarReductions(t *testing.T) {
 	r := New()
 	r.Counter("c", "").Add(2)
-	r.Gauge("g", "").Set(5)
+	r.GaugeFunc("g", "", func() float64 { return 5 })
 	cv := r.NodeCounter("cv", "", 2)
 	cv.Inc(0)
 	cv.Inc(1)

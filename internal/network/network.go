@@ -90,12 +90,13 @@ func (m EnergyModel) Validate() error {
 	return nil
 }
 
-// Counters aggregates traffic totals.
+// Counters aggregates traffic totals. Messages and Bytes are indexed by
+// Kind, so a snapshot is a plain value copy.
 type Counters struct {
 	// Messages counts transmissions (one per hop) by kind.
-	Messages map[Kind]uint64
+	Messages [numKinds]uint64
 	// Bytes counts payload bytes transmitted by kind.
-	Bytes map[Kind]uint64
+	Bytes [numKinds]uint64
 	// EnergyJ is the total radio energy spent in joules (tx + rx).
 	EnergyJ float64
 	// Drops counts frames the sender paid for that never arrived — the
@@ -110,12 +111,6 @@ func (c Counters) Total() uint64 {
 		t += v
 	}
 	return t
-}
-
-// TotalData returns messages excluding control traffic, the paper's query
-// processing cost metric.
-func (c Counters) TotalData() uint64 {
-	return c.Total() - c.Messages[KindControl]
 }
 
 // Network is the radio layer over a deployment.
@@ -566,9 +561,9 @@ func (n *Network) NodeEnergies() []float64 {
 	return out
 }
 
-// Messages returns the running transmission count for one traffic kind.
-// Unlike Snapshot, it allocates nothing: per-query cost loops take the
-// before/after difference of the kinds they care about directly.
+// Messages returns the running transmission count for one traffic kind:
+// per-query cost loops take the before/after difference of the kinds
+// they care about directly.
 func (n *Network) Messages(kind Kind) uint64 { return n.msgs[kind] }
 
 // PayloadBytes returns the running payload-byte count for one traffic
@@ -580,42 +575,18 @@ func (n *Network) EnergyJ() float64 { return n.energyJ }
 
 // Snapshot returns a copy of the current traffic counters.
 func (n *Network) Snapshot() Counters {
-	c := Counters{
-		Messages: make(map[Kind]uint64, int(numKinds)),
-		Bytes:    make(map[Kind]uint64, int(numKinds)),
-		EnergyJ:  n.energyJ,
-		Drops:    n.drops,
-	}
-	for _, k := range Kinds() {
-		if n.msgs[k] > 0 {
-			c.Messages[k] = n.msgs[k]
-		}
-		if n.bytes[k] > 0 {
-			c.Bytes[k] = n.bytes[k]
-		}
-	}
-	return c
+	return Counters{Messages: n.msgs, Bytes: n.bytes, EnergyJ: n.energyJ, Drops: n.drops}
 }
 
 // Diff returns the counters accumulated since an earlier snapshot.
 func (n *Network) Diff(since Counters) Counters {
-	cur := n.Snapshot()
-	out := Counters{
-		Messages: make(map[Kind]uint64, len(cur.Messages)),
-		Bytes:    make(map[Kind]uint64, len(cur.Bytes)),
-		EnergyJ:  cur.EnergyJ - since.EnergyJ,
-		Drops:    cur.Drops - since.Drops,
+	out := n.Snapshot()
+	for k := range out.Messages {
+		out.Messages[k] -= since.Messages[k]
+		out.Bytes[k] -= since.Bytes[k]
 	}
-	for k, v := range cur.Messages {
-		if d := v - since.Messages[k]; d > 0 {
-			out.Messages[k] = d
-		}
-	}
-	for k, v := range cur.Bytes {
-		if d := v - since.Bytes[k]; d > 0 {
-			out.Bytes[k] = d
-		}
-	}
+	out.EnergyJ -= since.EnergyJ
+	out.Drops -= since.Drops
 	return out
 }
 

@@ -55,16 +55,6 @@ func TestTransmitCountsByKind(t *testing.T) {
 	}
 }
 
-func TestTotalDataExcludesControl(t *testing.T) {
-	n := New(chainLayout(t))
-	_ = n.Transmit(0, 1, KindQuery, 8)
-	_ = n.Transmit(0, 1, KindControl, 8)
-	c := n.Snapshot()
-	if c.TotalData() != 1 {
-		t.Errorf("TotalData = %d, want 1", c.TotalData())
-	}
-}
-
 func TestTransmitOutOfRange(t *testing.T) {
 	n := New(chainLayout(t))
 	err := n.Transmit(2, 3, KindInsert, 8) // 140 m apart, range 40 m

@@ -65,13 +65,13 @@ const electRetryBudget = 8
 type repairKind uint8
 
 const (
-	repairSuspect   repairKind = iota + 1 // initiator → candidate: your cell's holder is dead
-	repairClaim                           // candidate → initiator: I claim the index role
-	repairGrant                           // initiator → candidate: role granted, pull state
-	repairPull                            // new holder → mirror: stream me the cell copy
-	repairChunk                           // transfer source → dest: one chunk of events
-	repairChunkAck                        // dest → source: chunk received, send the next
-	repairMirror                          // initiator → primary: re-home the cell's mirror
+	repairSuspect  repairKind = iota + 1 // initiator → candidate: your cell's holder is dead
+	repairClaim                          // candidate → initiator: I claim the index role
+	repairGrant                          // initiator → candidate: role granted, pull state
+	repairPull                           // new holder → mirror: stream me the cell copy
+	repairChunk                          // transfer source → dest: one chunk of events
+	repairChunkAck                       // dest → source: chunk received, send the next
+	repairMirror                         // initiator → primary: re-home the cell's mirror
 )
 
 // repairPacket is one repair-protocol message. Unlike the data path,

@@ -64,13 +64,16 @@ func (s *System) Subscribe(sink int, q event.Query) (*Subscription, error) {
 					return nil, fmt.Errorf("pool: subscribe to cell %v: %w", c, err)
 				}
 			}
-			key := storeKey{dim: p.Dim, cell: c}
-			sub.keys = append(sub.keys, key)
-			if s.subs == nil {
-				s.subs = make(map[storeKey][]*Subscription)
-			}
-			s.subs[key] = append(s.subs[key], sub)
+			sub.keys = append(sub.keys, storeKey{dim: p.Dim, cell: c})
 		}
+	}
+	// Register only once every cell was reached: on a failed walk the
+	// caller holds no subscription to Unsubscribe, so no cell may keep it.
+	if s.subs == nil {
+		s.subs = make(map[storeKey][]*Subscription)
+	}
+	for _, key := range sub.keys {
+		s.subs[key] = append(s.subs[key], sub)
 	}
 	return sub, nil
 }

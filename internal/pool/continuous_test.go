@@ -158,3 +158,28 @@ func TestContinuousQueryUnderLoad(t *testing.T) {
 		t.Error("notifications cost no reply traffic")
 	}
 }
+
+// TestSubscribeFailureRegistersNothing: a subscription whose registration
+// walk runs into an undetected corpse returns an error, and the caller
+// gets no handle to Unsubscribe with — so no cell may keep it registered
+// (such a cell would push notifications for it forever).
+func TestSubscribeFailureRegistersNothing(t *testing.T) {
+	s, net, _ := newUniverse(t, 300, 580)
+	sink := 0
+	// The victim holds the last cell the walk reaches: every cell before
+	// it has already been visited when the walk fails.
+	last := s.pools[len(s.pools)-1]
+	cells := last.RelevantCells(fullDomain().Rewrite())
+	victim := s.holder[cells[len(cells)-1]]
+	if victim == sink || victim == s.Splitter(last, sink) {
+		t.Fatalf("victim %d is the sink or the splitter", victim)
+	}
+	net.FailNode(victim)
+
+	if _, err := s.Subscribe(sink, fullDomain()); err == nil {
+		t.Fatal("subscription through an undetected corpse succeeded")
+	}
+	if len(s.subs) != 0 || s.Stats().Subscriptions != 0 {
+		t.Fatalf("failed subscription left %d cells registered", len(s.subs))
+	}
+}

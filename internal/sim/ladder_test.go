@@ -85,9 +85,9 @@ func (h modelHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h modelHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *modelHeap) Push(x any)        { *h = append(*h, x.(modelEvent)) }
-func (h *modelHeap) Pop() any          { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
+func (h modelHeap) Swap(i, j int)                   { h[i], h[j] = h[j], h[i] }
+func (h *modelHeap) Push(x any)                     { *h = append(*h, x.(modelEvent)) }
+func (h *modelHeap) Pop() any                       { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
 func (h modelHeap) peekAt() (time.Duration, uint64) { return h[0].at, h[0].seq }
 
 // checker drives a Scheduler and a reference heap with the identical

@@ -99,28 +99,6 @@ func (u *Universe) PickAlive() int {
 	return -1
 }
 
-// CrashDetected kills a node the way the chaos engine does after the
-// beacon timeout fired: routing first, then the radio, then repair.
-func (u *Universe) CrashDetected(id int) error {
-	u.Router.Exclude(id)
-	u.Net.FailNode(id)
-	return u.Sys.FailNode(id)
-}
-
-// CrashSilent silences a node's radio and routes without repairing —
-// the undetected-corpse window queries must degrade through.
-func (u *Universe) CrashSilent(id int) {
-	u.Router.Exclude(id)
-	u.Net.FailNode(id)
-}
-
-// Recover restores a node at every layer.
-func (u *Universe) Recover(id int) {
-	u.Router.Restore(id)
-	u.Net.RecoverNode(id)
-	u.Sys.RecoverNode(id)
-}
-
 // Report aggregates one scenario's query sweep over a universe.
 type Report struct {
 	Queries    int
@@ -188,14 +166,6 @@ func (r Report) MeanRecall() float64 {
 		return 1
 	}
 	return r.SumRecall / float64(r.Queries)
-}
-
-// MeanCompleteness returns the sweep's mean completeness fraction.
-func (r Report) MeanCompleteness() float64 {
-	if r.Queries == 0 {
-		return 1
-	}
-	return r.SumComp / float64(r.Queries)
 }
 
 // AllComplete reports whether every query's fan-out was fully served.
